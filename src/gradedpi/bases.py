@@ -383,6 +383,11 @@ def _symmetrization_family(
     return out
 
 
+def _partial_sum_span(seq: Sequence[int]) -> int:
+    sums = [0, *itertools.accumulate(seq)]
+    return max(sums) - min(sums)
+
+
 def build_basis(
     grading: ElementaryGrading, kind: str, cutoff: Optional[int] = None
 ) -> BasisInstances:
@@ -471,13 +476,18 @@ def build_basis(
             instances += _flank_family("(13)", grading, inner13, supp, 4)
             instances += _flank_family("(14)", grading, inner14, supp, 4)
             # residue-complete lifts with a nonzero integer sum end every row
-            # walk off its start by a multiple of n, so they are identities;
-            # the family keeps the sum-zero lifts, which are properly central
+            # walk off its start by a multiple of n, so they are identities.
+            # A sum-zero lift is properly central exactly when its partial
+            # sums 0, s_1, ..., s_(n-1) span at most n - 1, so that some row
+            # walk survives it; every rotation shifts those sums by a
+            # constant, so the span decides the whole symmetrization
             window = range(-(n - 1), n)
             sequences = [
                 seq
                 for seq in itertools.product(window, repeat=n)
-                if sum(seq) == 0 and is_complete_sequence(n, [g % n for g in seq])
+                if sum(seq) == 0
+                and is_complete_sequence(n, [g % n for g in seq])
+                and _partial_sum_span(seq) <= n - 1
             ]
             instances += _symmetrization_family("(15)", grading, sequences)
             return BasisInstances(instances, False)

@@ -2,7 +2,8 @@
 
 Subcommands: check-identity, check-central, congruence, enumerate, basis,
 verify.  Exit status is 0 for verified/true verdicts, 1 for false verdicts,
-and 2 for usage or parse errors.
+2 for usage or parse errors, and 3 for an internal failure of the library
+(reported as one ``internal error:`` line, never as a traceback).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .freealg import (
     parse_polynomial,
 )
 from .genericmodel import centrality_witness, identity_witness
-from .rewrite import find_congruence, proof_to_json
+from .rewrite import RuleError, find_congruence, proof_to_json
 from .bases import BasesError, basis_report, enumerate_monomial_identities
 from .suites import SUITES, all_passed, run_suite
 
@@ -237,9 +238,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except (GradingError, PolynomialSyntaxError, BasesError, UsageError, ValueError) as exc:
+    except (GradingError, PolynomialSyntaxError, BasesError, RuleError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        detail = " ".join(str(exc).split())
+        name = type(exc).__name__
+        print(f"internal error: {name}: {detail}" if detail else f"internal error: {name}", file=sys.stderr)
+        return 3
 
 
 def entrypoint():

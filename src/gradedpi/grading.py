@@ -269,6 +269,20 @@ class RowWalk:
     paths: Dict[int, Tuple[int, ...]]
 
 
+def _walk_from(targets: Dict[Grade, Dict[int, int]], hs: Sequence[Grade], start: int) -> Optional[list]:
+    """Rows visited from ``start`` by a left-to-right sequence of degrees, or
+    None when the walk dies; ``targets[h]`` is ``degree_rows(h).target``."""
+    path = [start]
+    append = path.append
+    cur = start
+    for h in hs:
+        cur = targets[h].get(cur)
+        if cur is None:
+            return None
+        append(cur)
+    return path
+
+
 class ElementaryGrading:
     """Grading of the n-by-n matrix algebra induced by distinct row grades.
 
@@ -342,23 +356,15 @@ class ElementaryGrading:
 
     def row_walk(self, hs: Sequence[Grade]) -> RowWalk:
         """Surviving row walks for a left-to-right sequence of degrees."""
-        steps = {}
+        targets = {}
         for h in hs:
-            if h not in steps:
-                steps[h] = self.degree_rows(h)
+            if h not in targets:
+                targets[h] = self.degree_rows(h).target
         rows = []
         paths: Dict[int, Tuple[int, ...]] = {}
         for k in range(1, self.n + 1):
-            path = [k]
-            cur = k
-            alive = True
-            for h in hs:
-                cur = steps[h].target.get(cur)
-                if cur is None:
-                    alive = False
-                    break
-                path.append(cur)
-            if alive:
+            path = _walk_from(targets, hs, k)
+            if path is not None:
                 rows.append(k)
                 paths[k] = tuple(path)
         return RowWalk(tuple(rows), paths)

@@ -24,7 +24,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .grading import ElementaryGrading, MATRIX_UNITS, MU_ZERO
+from .grading import ElementaryGrading, MATRIX_UNITS, MU_ZERO, _walk_from
 from .freealg import Monomial, classify, format_monomial, parse_monomial
 
 SWAP_NEUTRAL = "commute-e"
@@ -155,27 +155,45 @@ def replay(proof: CongruenceProof, grading: ElementaryGrading) -> Monomial:
     return cur
 
 
-def _matched_walks(src: Monomial, dst: Monomial, grading: ElementaryGrading):
-    """Shared-entry data: a row k where both evaluations agree on a nonzero
-    entry, along with both row paths."""
-    hs_src = [v.grade for v in src.vars]
-    hs_dst = [v.grade for v in dst.vars]
-    w1 = grading.row_walk(hs_src)
-    w2 = grading.row_walk(hs_dst)
-    for k in w1.rows:
-        p1 = w1.paths[k]
-        p2 = w2.paths.get(k)
+def _same_multiset(xs, ys) -> bool:
+    # Counters built from iterables hold only positive counts, so the C-level
+    # dict comparison decides multiset equality (Counter.__eq__ loops in Python)
+    return dict.__eq__(Counter(xs), Counter(ys))
+
+
+def _matched_walks(src, dst, targets, n_rows: int):
+    """Shared-entry data for two words (tuples of variables): the least row k
+    where both evaluations agree on a nonzero entry, along with both row paths.
+
+    Start rows are walked one at a time, in ascending order, and the scan
+    stops at the first row whose walks both survive, end on the same row and
+    visit every variable at the same rows.  ``targets`` maps each grade to its
+    ``degree_rows(grade).target``.
+    """
+    hs_src = [v.grade for v in src]
+    hs_dst = [v.grade for v in dst]
+    for k in range(1, n_rows + 1):
+        p1 = _walk_from(targets, hs_src, k)
+        if p1 is None:
+            continue
+        p2 = _walk_from(targets, hs_dst, k)
         if p2 is None or p1[-1] != p2[-1]:
             continue
-        left = Counter(
-            (src.vars[c].grade, src.vars[c].index, p1[c]) for c in range(len(src))
-        )
-        right = Counter(
-            (dst.vars[c].grade, dst.vars[c].index, p2[c]) for c in range(len(dst))
-        )
-        if left == right:
+        if _same_multiset(zip(src, p1), zip(dst, p2)):
             return k, p1, p2
     return None
+
+
+def _block_kept(block, old_block, row: int, old_path, targets) -> bool:
+    """Whether a rearranged leading block still walks from ``row`` to the
+    row ``old_path`` reached after the old block, visiting every variable
+    at the same rows; the letters after the block are then untouched."""
+    path = _walk_from(targets, [v.grade for v in block], row)
+    return (
+        path is not None
+        and path[-1] == old_path[len(block)]
+        and _same_multiset(zip(block, path), zip(old_block, old_path))
+    )
 
 
 def _rearrangement_steps(grading, base, k1, k2, k3, cur):
@@ -215,12 +233,23 @@ def find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Opt
     is located, and a swap or reversal brings it to the front.  Returns None
     exactly when no shared nonzero entry exists (except for m = n, which is
     trivially congruent).
+
+    Cost: one row-transition table per call, built from the distinct grades.
+    The shared entry is searched once at the start and once per
+    rearrangement, walking start rows in ascending order up to the first that
+    matches.  Strip steps walk nothing, since a shared entry of two suffixes
+    with equal first letters survives stripping them.  After a rearrangement
+    only the permuted leading block is walked again, from the row of the
+    entry it was aligned through; a full search runs only if that fails.
     """
     if Counter(m.vars) != Counter(n.vars):
         raise RuleError("congruence needs monomials with the same variable multiset")
     if m == n:
         return CongruenceProof(m, n, ())
     r = len(m)
+    targets = {g: grading.degree_rows(g).target for g in {v.grade for v in m.vars}}
+    if _matched_walks(m.vars, n.vars, targets, grading.n) is None:
+        return None
     steps: List[Step] = []
     cur = m
     base = 0
@@ -229,28 +258,27 @@ def find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Opt
         guard += 1
         if guard > 6 * r + 6:
             raise RuntimeError("congruence construction failed to converge")
-        src = cur.window(base + 1, r)
-        dst = n.window(base + 1, r)
-        hit = _matched_walks(src, dst, grading)
-        if hit is None:
-            if base == 0 and not steps:
-                return None
-            raise RuntimeError("shared entry lost during congruence construction")
-        if src.vars[0] == dst.vars[0]:
+        if cur.vars[base] == n.vars[base]:
+            # a shared entry of two suffixes survives stripping an equal
+            # first letter, so there is nothing to walk
             base += 1
             continue
-        _, p_src, p_dst = hit
+        src = cur.vars[base:]
+        dst = n.vars[base:]
+        hit = _matched_walks(src, dst, targets, grading.n)
+        if hit is None:
+            raise RuntimeError("shared entry lost during congruence construction")
+        k, p_src, p_dst = hit
         # align src positions with dst positions by (variable, row)
         slots: Dict[tuple, deque] = {}
-        for c in range(len(dst)):
-            slots.setdefault((dst.vars[c], p_dst[c]), deque()).append(c + 1)
+        for c, key in enumerate(zip(dst, p_dst), 1):
+            slots.setdefault(key, deque()).append(c)
         pos: Dict[int, int] = {}
-        for c in range(len(src)):
-            key = (src.vars[c], p_src[c])
+        for c, key in enumerate(zip(src, p_src), 1):
             queue = slots.get(key)
             if not queue:
                 raise RuntimeError("inconsistent alignment despite matching entries")
-            pos[queue.popleft()] = c + 1
+            pos[queue.popleft()] = c
         # least t whose successor block sits before the front block of dst
         t = 1
         while pos[t + 1] >= pos[1]:
@@ -263,6 +291,11 @@ def find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Opt
             steps.append(step)
         if cur.vars[base] != n.vars[base]:
             raise RuntimeError("rearrangement did not surface the target variable")
+        # the moves permute only the first k3 letters of the suffix, so the
+        # entry at row k is kept when that block still fits the walk
+        if not _block_kept(cur.vars[base : base + k3], src[:k3], k, p_src, targets):
+            if _matched_walks(cur.vars[base:], dst, targets, grading.n) is None:
+                raise RuntimeError("shared entry lost during congruence construction")
     if cur != n:
         raise RuntimeError("congruence construction ended on the wrong monomial")
     return CongruenceProof(m, n, tuple(steps))

@@ -29,10 +29,20 @@ def s3_grading():
     return ElementaryGrading(structure, (0, 1, 3))
 
 
+KLEIN_TABLE = "e a b c\n" "e a b c\n" "a e c b\n" "b c e a\n" "c b a e\n"
+
+
 @pytest.fixture
 def cayley_file(tmp_path):
     """Write a Cayley table file for the Klein four-group and return its path."""
-    text = "e a b c\n" "e a b c\n" "a e c b\n" "b c e a\n" "c b a e\n"
     path = tmp_path / "klein.txt"
-    path.write_text(text)
+    path.write_text(KLEIN_TABLE)
+    return str(path)
+
+
+@pytest.fixture(scope="session")
+def klein_file(tmp_path_factory):
+    """The Klein four-group table file, shared by a whole session."""
+    path = tmp_path_factory.mktemp("klein") / "klein.txt"
+    path.write_text(KLEIN_TABLE)
     return str(path)

@@ -1,11 +1,12 @@
 """Generator families, enumeration, symmetrization, and reductions."""
 
 import itertools
+import math
 import random
 
 import pytest
 
-from gradedpi.grading import parse_grading_spec
+from gradedpi.grading import is_complete_sequence, parse_grading_spec
 from gradedpi.freealg import Monomial, Polynomial, Var, apply_substitution
 from gradedpi.genericmodel import is_central, is_identity, matrix_unit_oracle
 from gradedpi.bases import (
@@ -94,6 +95,22 @@ class TestBuildBasis:
         basis = build_basis(Z2, "central")
         assert {inst.family for inst in basis.instances} == {"(12)", "(13)", "(14)", "(15)"}
         assert all(verify_instance(inst, Z2) for inst in basis.instances)
+
+    def test_integer_symmetrization_family_is_the_properly_central_lifts(self):
+        # family (15) on z:n keeps n! sum-zero lifts, all properly central;
+        # every sum-zero complete lift it leaves out symmetrizes to zero
+        for n in range(2, 6):
+            grading = parse_grading_spec(f"z:{n}")
+            basis = build_basis(grading, "central")
+            fam = [inst for inst in basis.instances if inst.family == "(15)"]
+            assert len(fam) == math.factorial(n)
+            assert all(verify_instance(inst, grading) for inst in fam)
+            kept = {tuple(int(g) for g in inst.params["degrees"]) for inst in fam}
+            for seq in itertools.product(range(-(n - 1), n), repeat=n):
+                if sum(seq) or seq in kept or not is_complete_sequence(n, [g % n for g in seq]):
+                    continue
+                sym = cyclic_symmetrization([Var(g, l + 1) for l, g in enumerate(seq)], grading)
+                assert is_identity(sym, grading), seq
 
     def test_central_needs_prime_residue_grading(self):
         with pytest.raises(BasesError):

@@ -186,3 +186,52 @@ class TestBasisAndVerify:
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["no-such-command"]) == 2
+
+
+class TestInternalErrors:
+    def _raise(self, exc):
+        def broken(*args, **kwargs):
+            raise exc
+
+        return broken
+
+    def test_congruence_guard_failure_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "gradedpi.cli.find_congruence",
+            self._raise(RuntimeError("shared entry lost during congruence construction")),
+        )
+        code, out, err = run(
+            capsys, "congruence", "--grading", "zn:3",
+            "--poly", "x[1,1]*x[2,2]*x[1,3]", "--poly", "x[1,3]*x[2,2]*x[1,1]",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: RuntimeError: shared entry lost during congruence construction\n"
+
+    def test_library_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "gradedpi.cli.find_congruence", self._raise(ValueError("bug\nin the library"))
+        )
+        code, _, err = run(
+            capsys, "congruence", "--grading", "zn:3",
+            "--poly", "x[1,1]*x[2,2]", "--poly", "x[2,2]*x[1,1]",
+        )
+        assert code == 3
+        assert err == "internal error: ValueError: bug in the library\n"
+
+    def test_malformed_inputs_still_exit_2(self, capsys):
+        cases = [
+            ["check-identity", "--grading", "zn:3x", "--poly", "x[0,1]"],
+            ["check-identity", "--grading", "q:3", "--poly", "x[0,1]"],
+            ["check-identity", "--grading", "zn:3", "--poly", "x[0,1]*"],
+            ["check-identity", "--grading", "zn:3", "--poly", "x[(1,2),1]"],
+            ["check-central", "--grading", "mu:2", "--poly", "x[5,1]"],
+            ["congruence", "--grading", "zn:3", "--poly", "x[1,1]", "--poly", "x[1,2]"],
+            ["enumerate", "--grading", "zn:3", "--max-degree", "99"],
+            ["basis", "--grading", "zn:4", "--kind", "central"],
+        ]
+        for argv in cases:
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, argv

@@ -1,0 +1,222 @@
+"""Differential check of find_congruence against the search it replaced.
+
+``reference_find_congruence`` and ``_reference_matched_walks`` are the
+earlier construction, kept verbatim apart from their names: before every
+strip or rearrangement it walked all start rows of both suffixes through
+``row_walk``.  The current search walks only where the answer can change and
+must produce the same proof, step for step.
+"""
+
+import random
+from collections import Counter, deque
+from typing import Dict, List, Optional
+
+import pytest
+
+from gradedpi import rewrite
+from gradedpi.freealg import Monomial, Var
+from gradedpi.grading import ElementaryGrading, parse_grading_spec
+from gradedpi.rewrite import (
+    CongruenceProof,
+    RuleError,
+    Step,
+    _rearrangement_steps,
+    apply_rule,
+    find_congruence,
+    replay,
+)
+
+
+def _reference_matched_walks(src: Monomial, dst: Monomial, grading: ElementaryGrading):
+    """Shared-entry data: a row k where both evaluations agree on a nonzero
+    entry, along with both row paths."""
+    hs_src = [v.grade for v in src.vars]
+    hs_dst = [v.grade for v in dst.vars]
+    w1 = grading.row_walk(hs_src)
+    w2 = grading.row_walk(hs_dst)
+    for k in w1.rows:
+        p1 = w1.paths[k]
+        p2 = w2.paths.get(k)
+        if p2 is None or p1[-1] != p2[-1]:
+            continue
+        left = Counter(
+            (src.vars[c].grade, src.vars[c].index, p1[c]) for c in range(len(src))
+        )
+        right = Counter(
+            (dst.vars[c].grade, dst.vars[c].index, p2[c]) for c in range(len(dst))
+        )
+        if left == right:
+            return k, p1, p2
+    return None
+
+
+def reference_find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Optional[CongruenceProof]:
+    if Counter(m.vars) != Counter(n.vars):
+        raise RuleError("congruence needs monomials with the same variable multiset")
+    if m == n:
+        return CongruenceProof(m, n, ())
+    r = len(m)
+    steps: List[Step] = []
+    cur = m
+    base = 0
+    guard = 0
+    while base < r:
+        guard += 1
+        if guard > 6 * r + 6:
+            raise RuntimeError("congruence construction failed to converge")
+        src = cur.window(base + 1, r)
+        dst = n.window(base + 1, r)
+        hit = _reference_matched_walks(src, dst, grading)
+        if hit is None:
+            if base == 0 and not steps:
+                return None
+            raise RuntimeError("shared entry lost during congruence construction")
+        if src.vars[0] == dst.vars[0]:
+            base += 1
+            continue
+        _, p_src, p_dst = hit
+        # align src positions with dst positions by (variable, row)
+        slots: Dict[tuple, deque] = {}
+        for c in range(len(dst)):
+            slots.setdefault((dst.vars[c], p_dst[c]), deque()).append(c + 1)
+        pos: Dict[int, int] = {}
+        for c in range(len(src)):
+            key = (src.vars[c], p_src[c])
+            queue = slots.get(key)
+            if not queue:
+                raise RuntimeError("inconsistent alignment despite matching entries")
+            pos[queue.popleft()] = c + 1
+        # least t whose successor block sits before the front block of dst
+        t = 1
+        while pos[t + 1] >= pos[1]:
+            t += 1
+        k1, k2, k3 = pos[t + 1], pos[1], pos[t]
+        if not (k1 < k2 <= k3):
+            raise RuntimeError("misordered rearrangement windows")
+        for step in _rearrangement_steps(grading, base, k1, k2, k3, cur):
+            cur = apply_rule(cur, step.rule, step.window, grading)
+            steps.append(step)
+        if cur.vars[base] != n.vars[base]:
+            raise RuntimeError("rearrangement did not surface the target variable")
+    if cur != n:
+        raise RuntimeError("congruence construction ended on the wrong monomial")
+    return CongruenceProof(m, n, tuple(steps))
+
+
+# -- seeded pairs ------------------------------------------------------------------
+#
+# A word is built along a random row walk, so it survives; valid rewrites
+# then act on blocks read off that walk: two adjacent loops at one row are
+# neutral blocks that commute, and blocks a b c running u -> v -> u -> v
+# (u != v) satisfy deg(a) = deg(c) = deg(b)^-1 and may be reversed.
+
+
+def _rows(grading, word, start):
+    rows = [start]
+    for v in word:
+        rows.append(grading.degree_rows(v.grade).target[rows[-1]])
+    return rows
+
+
+def _swap(word, rows, rng):
+    j = rng.randint(1, len(word) - 1)
+    before = [i for i in range(j) if rows[i] == rows[j]]
+    after = [k for k in range(j + 1, len(word) + 1) if rows[k] == rows[j]]
+    if not before or not after:
+        return False
+    i, k = rng.choice(before), rng.choice(after)
+    word[i:k] = word[j:k] + word[i:j]
+    return True
+
+
+def _reverse(word, rows, rng):
+    p, q = sorted(rng.sample(range(len(word) + 1), 2))
+    if rows[p] == rows[q]:
+        return False
+    rs = [r for r in range(q + 1, len(word)) if rows[r] == rows[p]]
+    if not rs:
+        return False
+    r = rng.choice(rs)
+    ss = [s for s in range(r + 1, len(word) + 1) if rows[s] == rows[q]]
+    if not ss:
+        return False
+    s = rng.choice(ss)
+    word[p:s] = word[r:s] + word[q:r] + word[p:q]
+    return True
+
+
+def _walk_word(grading, length, rng):
+    rows = [rng.randint(1, grading.n) for _ in range(length + 1)]
+    word = [
+        Var(grading.unit_degree(rows[t], rows[t + 1]), rng.randint(1, 4))
+        for t in range(length)
+    ]
+    return word, rows[0]
+
+
+def congruent_pair(grading, length, rng):
+    word, start = _walk_word(grading, length, rng)
+    dst = list(word)
+    moves = 0
+    while moves < length // 2 or dst == word:
+        if (_swap if rng.random() < 0.5 else _reverse)(dst, _rows(grading, dst, start), rng):
+            moves += 1
+    return Monomial(word), Monomial(dst)
+
+
+def killed_pair(grading, length, rng):
+    while True:
+        word, _ = _walk_word(grading, length, rng)
+        dead = sorted(word, key=lambda v: (str(v.grade), v.index))
+        if not grading.row_walk([v.grade for v in dead]).rows:
+            return Monomial(dead), Monomial(word)
+
+
+@pytest.fixture(scope="module")
+def gradings(s3_grading):
+    specs = ("zn:3", "zn:5", "z:3", "mu:3")
+    return {**{spec: parse_grading_spec(spec) for spec in specs}, "s3": s3_grading}
+
+
+@pytest.mark.parametrize("name", ["zn:3", "zn:5", "z:3", "mu:3", "s3"])
+def test_same_proof_as_reference(gradings, name):
+    grading = gradings[name]
+    rng = random.Random(f"congruence-reference:{name}")
+    for length in (48, 96, 192, 384):
+        m, n = congruent_pair(grading, length, rng)
+        proof = find_congruence(m, n, grading)
+        assert proof is not None
+        assert proof.steps == reference_find_congruence(m, n, grading).steps
+        assert replay(proof, grading) == n
+
+
+@pytest.mark.parametrize("name,length", [("z:3", 48), ("z:3", 192), ("mu:3", 48), ("mu:3", 192)])
+def test_killed_pairs_have_no_proof(gradings, name, length):
+    grading = gradings[name]
+    m, n = killed_pair(grading, length, random.Random(f"killed:{name}:{length}"))
+    assert reference_find_congruence(m, n, grading) is None
+    assert find_congruence(m, n, grading) is None
+    assert find_congruence(n, m, grading) is None
+
+
+def test_full_scan_fallback_after_a_rearrangement(gradings, monkeypatch):
+    # the block-local check after a rearrangement defers to a full search,
+    # which finds the same proof or raises exactly as the earlier guard did
+    grading = gradings["zn:3"]
+    m, n = congruent_pair(grading, 96, random.Random("fallback"))
+    expected = reference_find_congruence(m, n, grading)
+    monkeypatch.setattr(rewrite, "_block_kept", lambda *args: False)
+    assert find_congruence(m, n, grading) == expected
+    real = rewrite._matched_walks
+    calls = []
+
+    def fallback_finds_nothing(*args):
+        # the search at the start and the one at the first rearrangement run
+        # as usual; the third search is the fallback after that rearrangement
+        calls.append(args)
+        return real(*args) if len(calls) < 3 else None
+
+    monkeypatch.setattr(rewrite, "_matched_walks", fallback_finds_nothing)
+    with pytest.raises(RuntimeError, match="shared entry lost"):
+        find_congruence(m, n, grading)
+    assert len(calls) == 3

@@ -3,8 +3,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gradedpi.grading import parse_grading_spec
+from gradedpi.grading import MU_ZERO, parse_grading_spec
 from gradedpi.freealg import Monomial, Polynomial, Var
 from gradedpi.genericmodel import entry_match, is_identity, monomial_product
 from gradedpi.rewrite import (
@@ -17,6 +18,7 @@ from gradedpi.rewrite import (
     RuleError,
     SWAP_NEUTRAL,
     Step,
+    _block_kept,
     apply_rule,
     find_congruence,
     follows_from_kill,
@@ -24,6 +26,7 @@ from gradedpi.rewrite import (
     proof_to_json,
     replay,
 )
+from gradedpi.suites import _applicable_rewrites
 
 ZN2 = parse_grading_spec("zn:2")
 ZN3 = parse_grading_spec("zn:3")
@@ -170,6 +173,20 @@ class TestFindCongruence:
             assert proof is not None
             assert replay(proof, ZN2) == n
 
+    def test_block_check_after_a_rearrangement(self):
+        # the block must walk from the same row to the same row and visit
+        # every variable at the same rows as the block it replaced
+        targets = {1: ZN3.degree_rows(1).target}
+        old = mono((1, 1), (1, 2), (1, 3)).vars
+        path = [1, 2, 3, 1]
+        assert _block_kept(old, old, 1, path, targets)
+        assert not _block_kept(mono((1, 3), (1, 2), (1, 1)).vars, old, 1, path, targets)
+        # over z:3 no unit of degree 1 starts at row 3, so that walk dies
+        targets = {1: Z3.degree_rows(1).target}
+        old = mono((1, 1), (1, 2)).vars
+        assert _block_kept(old, old, 1, [1, 2, 3], targets)
+        assert not _block_kept(old, old, 3, [3, 4, 5], targets)
+
     def test_positional_congruence(self):
         m = mono(((1, 2), 1), ((2, 1), 2), ((1, 2), 3))
         n = mono(((1, 2), 3), ((2, 1), 2), ((1, 2), 1))
@@ -212,6 +229,59 @@ class TestFindCongruence:
                 assert monomial_product(s3_grading, cur) == reference
             found += 1
         assert found == 25
+
+
+@pytest.fixture(scope="module")
+def every_kind(s3_grading, klein_file):
+    """One grading per kind, each with grades that include, where the kind
+    has them, degrees outside the support (so kills occur)."""
+    return {
+        "zn:3": (ZN3, list(range(3))),
+        "z:3": (Z3, list(range(-3, 4))),
+        "mu:2": (MU2, [MU_ZERO, (1, 1), (1, 2), (2, 1), (2, 2)]),
+        "s3": (s3_grading, list(range(6))),
+        "klein": (parse_grading_spec(f"group:{klein_file}:e,a"), list(range(4))),
+    }
+
+
+class TestCongruenceProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_proof_iff_shared_entry(self, every_kind, data):
+        grading, grades = every_kind[data.draw(st.sampled_from(sorted(every_kind)))]
+        if data.draw(st.booleans()):
+            # along a row walk, so the word survives
+            rows = data.draw(
+                st.lists(st.integers(min_value=1, max_value=grading.n), min_size=3, max_size=8)
+            )
+            hs = [grading.unit_degree(a, b) for a, b in zip(rows, rows[1:])]
+        else:
+            hs = data.draw(st.lists(st.sampled_from(grades), min_size=2, max_size=7))
+        indices = st.integers(min_value=1, max_value=2)
+        m = Monomial(Var(h, data.draw(indices)) for h in hs)
+        # a chain of legal rewrites, then possibly a shuffle that breaks it
+        n = m
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            apps = _applicable_rewrites(n, grading)
+            if not apps:
+                break
+            rule, window = data.draw(st.sampled_from(apps))
+            n = apply_rule(n, rule, window, grading)
+        if data.draw(st.booleans()):
+            n = Monomial(data.draw(st.permutations(n.vars)))
+        proof = find_congruence(m, n, grading)
+        if m == n:
+            assert proof == CongruenceProof(m, n, ())
+            return
+        assert (proof is not None) == (entry_match(m, n, grading) is not None)
+        if proof is None:
+            return
+        assert replay(proof, grading) == n
+        reference = monomial_product(grading, m)
+        cur = m
+        for step in proof.steps:
+            cur = apply_rule(cur, step.rule, step.window, grading)
+            assert monomial_product(grading, cur) == reference
 
 
 class TestReplay:
