@@ -13,6 +13,7 @@ from .grading import (
     ElementaryGrading,
     GradingError,
     GradingStructure,
+    MAX_MATRIX_SIZE,
     MU_ZERO,
     complete_sequence_unit_witness,
     cyclic_group,
@@ -24,6 +25,7 @@ from .grading import (
     parse_grading_spec,
 )
 from .freealg import (
+    MAX_TERM_DEGREE,
     Monomial,
     MonomialClass,
     ONE,
@@ -42,7 +44,6 @@ from .freealg import (
     twin_block_threshold,
 )
 from .genericmodel import (
-    GenericMatrix,
     PolyMatrix,
     SparsePoly,
     centrality_witness,

@@ -33,7 +33,7 @@ from .grading import (
     is_complete_sequence,
 )
 from .freealg import Monomial, Polynomial, Var, classify, format_polynomial, twin_block_threshold
-from .genericmodel import is_central, is_identity
+from .genericmodel import _require_zero_constant, evaluate, is_identity
 
 EXPECT_IDENTITY = "identity"
 EXPECT_CENTRAL_IDENTITY = "central-identity"
@@ -212,9 +212,10 @@ def reduce_central_monomial(m: Monomial, grading: ElementaryGrading) -> Polynomi
         raise BasesError("central reduction needs the canonical residue grading")
     p = grading.n
     poly = Polynomial.from_monomial(m)
-    if is_identity(poly, grading):
+    value = evaluate(poly, grading)
+    if value.is_zero:
         raise BasesError("central reduction expects a non-identity monomial")
-    if not is_central(poly, grading):
+    if not value.is_scalar:
         raise BasesError("central reduction expects a central monomial")
     order: List[Var] = []
     counts: Dict[Var, int] = {}
@@ -499,12 +500,16 @@ def build_basis(
 
 
 def verify_instance(inst: GeneratorInstance, grading: ElementaryGrading) -> bool:
-    """Check an instance against its family's defining property."""
-    if inst.expect == EXPECT_IDENTITY:
-        return is_identity(inst.poly, grading)
-    if inst.expect == EXPECT_CENTRAL_IDENTITY:
-        return is_identity(inst.poly, grading) and is_central(inst.poly, grading)
-    return is_central(inst.poly, grading) and not is_identity(inst.poly, grading)
+    """Check an instance against its family's defining property.
+
+    Both verdicts are read from one generic evaluation.  An identity is
+    central as well, since the zero matrix is scalar.
+    """
+    value = evaluate(inst.poly, grading)
+    if inst.expect != EXPECT_PROPER_CENTRAL:
+        return value.is_zero
+    _require_zero_constant(inst.poly)
+    return value.is_scalar and not value.is_zero
 
 
 def basis_report(

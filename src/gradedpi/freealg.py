@@ -184,23 +184,6 @@ class Polynomial:
             return "Polynomial(0)"
         return f"Polynomial({len(self.terms)} terms)"
 
-    def is_multilinear(self) -> bool:
-        """True when all terms use the same variable set, each exactly once."""
-        if self.is_zero:
-            return True
-        common = None
-        for m in self.terms:
-            seen = set()
-            for v in m.vars:
-                if v in seen:
-                    return False
-                seen.add(v)
-            if common is None:
-                common = seen
-            elif seen != common:
-                return False
-        return True
-
     def homogeneous_degree(self, grading: ElementaryGrading) -> Optional[Grade]:
         """Common degree of all terms, or None for the zero polynomial.
 
@@ -397,6 +380,12 @@ def classify(m: Monomial, grading: ElementaryGrading) -> MonomialClass:
 # -- text grammar ---------------------------------------------------------------
 
 
+#: largest degree (number of letters, with ``x^k`` counting k) of one term
+#: the parser accepts.  The parser expands powers into words, so the cap
+#: refuses a huge exponent before anything is allocated.
+MAX_TERM_DEGREE = 4096
+
+
 class PolynomialSyntaxError(ValueError):
     """Syntax error in polynomial text, with the 0-based offending position."""
 
@@ -432,7 +421,10 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self.error("expected a number")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # a digit int() refuses, or too many digits
+            self.error("malformed number", start)
 
     def read_int(self) -> int:
         sign = 1
@@ -502,7 +494,10 @@ class _Parser:
         while True:
             if self.peek() != "x":
                 self.error("expected a variable factor")
+            start = self.pos
             var, exp = self.parse_factor()
+            if len(factors) + exp > MAX_TERM_DEGREE:
+                self.error(f"term degree exceeds the limit {MAX_TERM_DEGREE}", start)
             factors.extend([var] * exp)
             self.skip_ws()
             if self.peek() == "*":

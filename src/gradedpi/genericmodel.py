@@ -8,14 +8,15 @@ checks are exact integer polynomial comparisons.
 
 Monomial evaluations are computed in closed form from the row walks of the
 degree sequence rather than by iterated matrix multiplication; the naive
-product is kept as an independent cross-check.
+product is kept as an independent cross-check.  Matrices are sparse: only
+nonzero entries are stored, and a polynomial is evaluated by walking each
+term once and merging its coefficient into the entries it reaches.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .grading import ElementaryGrading, Grade, GradingError
@@ -23,6 +24,8 @@ from .freealg import Monomial, Polynomial, Var
 
 #: commuting variable key: (grade, generic matrix index, row)
 YVar = Tuple[Grade, int, int]
+#: 1-based matrix position (row, column)
+Position = Tuple[int, int]
 
 
 class SparsePoly:
@@ -78,11 +81,6 @@ class SparsePoly:
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
 
-    def scaled(self, c: int) -> "SparsePoly":
-        if c == 0:
-            return SparsePoly()
-        return SparsePoly({k: v * c for k, v in self.terms.items()})
-
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         out: Dict[tuple, int] = {}
         for k1, c1 in self.terms.items():
@@ -124,111 +122,85 @@ class SparsePoly:
 
 
 class PolyMatrix:
-    """Square matrix of sparse polynomials with exact arithmetic."""
+    """Square matrix of sparse polynomials with exact arithmetic.
 
-    __slots__ = ("n", "rows")
+    Only nonzero entries are stored: ``cells`` maps a 1-based position
+    (i, j) to its entry.
+    """
 
-    def __init__(self, n: int, rows: Sequence[Sequence[SparsePoly]]):
+    __slots__ = ("n", "cells")
+
+    def __init__(self, n: int, cells: Optional[Dict[Position, SparsePoly]] = None):
         self.n = n
-        self.rows = tuple(tuple(row) for row in rows)
-
-    @staticmethod
-    def zero(n: int) -> "PolyMatrix":
-        z = SparsePoly.zero()
-        return PolyMatrix(n, [[z] * n for _ in range(n)])
+        self.cells = {pos: p for pos, p in (cells or {}).items() if not p.is_zero}
 
     @staticmethod
     def identity(n: int) -> "PolyMatrix":
-        rows = [
-            [SparsePoly.one() if i == j else SparsePoly.zero() for j in range(n)]
-            for i in range(n)
-        ]
-        return PolyMatrix(n, rows)
+        return PolyMatrix(n, {(k, k): SparsePoly.one() for k in range(1, n + 1)})
 
     def entry(self, i: int, j: int) -> SparsePoly:
         """Entry at row i, column j (1-based)."""
-        return self.rows[i - 1][j - 1]
+        p = self.cells.get((i, j))
+        return SparsePoly() if p is None else p
 
     def __eq__(self, other):
         return (
             isinstance(other, PolyMatrix)
             and self.n == other.n
-            and self.rows == other.rows
-        )
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return PolyMatrix(
-            self.n,
-            [
-                [self.rows[i][j] + other.rows[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ],
+            and self.cells == other.cells
         )
 
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        n = self.n
-        out = [[SparsePoly.zero()] * n for _ in range(n)]
-        for i in range(n):
-            for k in range(n):
-                left = self.rows[i][k]
-                if left.is_zero:
-                    continue
-                for j in range(n):
-                    right = other.rows[k][j]
-                    if right.is_zero:
-                        continue
-                    out[i][j] = out[i][j] + left * right
-        return PolyMatrix(n, out)
-
-    def scaled(self, c: int) -> "PolyMatrix":
-        return PolyMatrix(self.n, [[p.scaled(c) for p in row] for row in self.rows])
+        right_rows: Dict[int, List[Tuple[int, SparsePoly]]] = {}
+        for (k, j), right in other.cells.items():
+            right_rows.setdefault(k, []).append((j, right))
+        out: Dict[Position, SparsePoly] = {}
+        for (i, k), left in self.cells.items():
+            for j, right in right_rows.get(k, ()):
+                prod = left * right
+                out[(i, j)] = out[(i, j)] + prod if (i, j) in out else prod
+        return PolyMatrix(self.n, out)
 
     @property
     def is_zero(self) -> bool:
-        return all(p.is_zero for row in self.rows for p in row)
+        return not self.cells
 
     @property
     def is_scalar(self) -> bool:
         """Zero off the diagonal with all diagonal entries equal."""
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j and not self.rows[i][j].is_zero:
-                    return False
-        first = self.rows[0][0]
-        return all(self.rows[k][k] == first for k in range(1, self.n))
+        return self._nonscalar_position() is None
+
+    def _nonscalar_position(self) -> Optional[Position]:
+        """The first nonzero off-diagonal position (row-major), else the
+        first diagonal position whose entry differs from the (1,1) entry,
+        else None."""
+        off = [pos for pos in self.cells if pos[0] != pos[1]]
+        if off:
+            return min(off)
+        first = self.cells.get((1, 1))
+        for k in range(2, self.n + 1):
+            if self.cells.get((k, k)) != first:
+                return (k, k)
+        return None
 
     def nonzero_positions(self):
         """Nonzero entry positions, 1-based, in row-major order."""
-        for i in range(self.n):
-            for j in range(self.n):
-                if not self.rows[i][j].is_zero:
-                    yield (i + 1, j + 1)
+        return iter(sorted(self.cells))
 
     def __repr__(self):
         return f"PolyMatrix({self.n}x{self.n})"
 
 
-@dataclass(frozen=True)
-class GenericMatrix:
-    """A generic matrix of a fixed degree: entry (k, target_k) is y[h,i,k]."""
-
-    grade: Grade
-    index: int
-    entries: PolyMatrix
-
-
-def make_generic(grading: ElementaryGrading, h: Grade, i: int) -> GenericMatrix:
+def make_generic(grading: ElementaryGrading, h: Grade, i: int) -> PolyMatrix:
     """The canonical degree-h generic matrix with generic index i.
 
-    One fresh commuting variable sits in each row that admits a unit of
-    degree h; the matrix is zero when no row does.
+    One fresh commuting variable sits in each row k that admits a unit of
+    degree h, at column target_k; the matrix is zero when no row does.
     """
-    step = grading.degree_rows(h)
-    n = grading.n
-    rows = [[SparsePoly.zero()] * n for _ in range(n)]
-    for k in step.rows:
-        rows[k - 1][step.target[k] - 1] = SparsePoly.variable((h, i, k))
-    return GenericMatrix(h, i, PolyMatrix(n, rows))
+    return PolyMatrix(
+        grading.n,
+        {(k, j): SparsePoly.variable((h, i, k)) for k, j in grading._target(h).items()},
+    )
 
 
 def _as_pairs(vars: Union[Monomial, Iterable]) -> List[Tuple[Grade, int]]:
@@ -244,6 +216,62 @@ def _as_pairs(vars: Union[Monomial, Iterable]) -> List[Tuple[Grade, int]]:
     return out
 
 
+def _add_word(
+    acc: Dict[Position, Dict[tuple, int]],
+    grading: ElementaryGrading,
+    tables: Dict[Grade, Dict[int, int]],
+    pairs: Sequence[Tuple[Grade, int]],
+    coeff: int,
+) -> None:
+    """Add coeff times the closed-form product of a word to ``acc``.
+
+    The product has one entry per row walk that survives the word: walking
+    from row k (a row admitting the first letter) to the final row, it is
+    y[h_1,i_1,row_1] * ... * y[h_q,i_q,row_q] at position (k, final row).
+    ``pairs`` holds (grade, index) pairs, such as ``Var``s; ``tables`` caches
+    each grade's row map for the caller.  The empty word is the identity
+    matrix.
+    """
+    if not pairs:
+        for k in range(1, grading.n + 1):
+            _add_term(acc, (k, k), (), coeff)
+        return
+    letters = []
+    for h, i in pairs:
+        table = tables.get(h)
+        if table is None:
+            table = tables[h] = grading._target(h)
+        letters.append((h, i, table))
+    for start in letters[0][2]:
+        cur = start
+        powers: Dict[YVar, int] = {}
+        for h, i, table in letters:
+            nxt = table.get(cur)
+            if nxt is None:
+                break
+            y = (h, i, cur)
+            powers[y] = powers.get(y, 0) + 1
+            cur = nxt
+        else:
+            _add_term(acc, (start, cur), tuple(sorted(powers.items())), coeff)
+
+
+def _add_term(acc: Dict[Position, Dict[tuple, int]], pos: Position, key: tuple, coeff: int) -> None:
+    cell = acc.get(pos)
+    if cell is None:
+        acc[pos] = {key: coeff}
+        return
+    nc = cell.get(key, 0) + coeff
+    if nc:
+        cell[key] = nc
+    else:
+        del cell[key]
+
+
+def _matrix(n: int, acc: Dict[Position, Dict[tuple, int]]) -> PolyMatrix:
+    return PolyMatrix(n, {pos: SparsePoly(cell) for pos, cell in acc.items()})
+
+
 def monomial_product(grading: ElementaryGrading, vars: Union[Monomial, Iterable]) -> PolyMatrix:
     """Closed-form product of generic matrices along a variable sequence.
 
@@ -251,19 +279,9 @@ def monomial_product(grading: ElementaryGrading, vars: Union[Monomial, Iterable]
     y[h_1,i_1,row_1] * ... * y[h_q,i_q,row_q] at position (k, final row).
     The empty sequence gives the identity matrix.
     """
-    pairs = _as_pairs(vars)
-    n = grading.n
-    if not pairs:
-        return PolyMatrix.identity(n)
-    walk = grading.row_walk([h for h, _ in pairs])
-    rows = [[SparsePoly.zero()] * n for _ in range(n)]
-    for k in walk.rows:
-        path = walk.paths[k]
-        powers = Counter(
-            (pairs[c][0], pairs[c][1], path[c]) for c in range(len(pairs))
-        )
-        rows[k - 1][path[-1] - 1] = SparsePoly.monomial(powers)
-    return PolyMatrix(n, rows)
+    acc: Dict[Position, Dict[tuple, int]] = {}
+    _add_word(acc, grading, {}, _as_pairs(vars), 1)
+    return _matrix(grading.n, acc)
 
 
 def naive_monomial_product(grading: ElementaryGrading, vars: Union[Monomial, Iterable]) -> PolyMatrix:
@@ -272,29 +290,28 @@ def naive_monomial_product(grading: ElementaryGrading, vars: Union[Monomial, Ite
     pairs = _as_pairs(vars)
     acc = PolyMatrix.identity(grading.n)
     for h, i in pairs:
-        acc = acc * make_generic(grading, h, i).entries
+        acc = acc * make_generic(grading, h, i)
     return acc
 
 
 def evaluate(f: Polynomial, grading: ElementaryGrading) -> PolyMatrix:
     """Generic evaluation of a polynomial under the canonical assignment.
 
-    Each term is evaluated independently via the closed-form product and the
-    results are merged; term order cannot affect the outcome.
+    Each term is walked once, from the rows admitting its first letter, and
+    its coefficient is merged straight into the entries it reaches; term
+    order cannot affect the outcome.  A term costs O(surviving rows *
+    length), with no n-by-n work per term.
     """
-    n = grading.n
-    acc: List[List[Dict[tuple, int]]] = [[{} for _ in range(n)] for _ in range(n)]
+    acc: Dict[Position, Dict[tuple, int]] = {}
+    tables: Dict[Grade, Dict[int, int]] = {}
     for mono, coeff in f.terms.items():
-        pm = monomial_product(grading, mono)
-        for (i, j) in pm.nonzero_positions():
-            cell = acc[i - 1][j - 1]
-            for key, c in pm.entry(i, j).terms.items():
-                nc = cell.get(key, 0) + c * coeff
-                if nc:
-                    cell[key] = nc
-                else:
-                    del cell[key]
-    return PolyMatrix(n, [[SparsePoly(cell) for cell in row] for row in acc])
+        _add_word(acc, grading, tables, mono.vars, coeff)
+    return _matrix(grading.n, acc)
+
+
+def _require_zero_constant(f: Polynomial) -> None:
+    if f.constant_term != 0:
+        raise GradingError("centrality requires a zero constant term")
 
 
 def is_identity(f: Polynomial, grading: ElementaryGrading) -> bool:
@@ -307,8 +324,7 @@ def is_central(f: Polynomial, grading: ElementaryGrading) -> bool:
 
     Requires a zero constant term so that f vanishes on the zero assignment.
     """
-    if f.constant_term != 0:
-        raise GradingError("centrality requires a zero constant term")
+    _require_zero_constant(f)
     return evaluate(f, grading).is_scalar
 
 
@@ -380,26 +396,25 @@ def matrix_unit_oracle(f: Polynomial, grading: ElementaryGrading) -> bool:
 def entry_match(m1: Monomial, m2: Monomial, grading: ElementaryGrading) -> Optional[Tuple[int, int]]:
     """First position (row-major, 1-based) where both generic evaluations
     carry the identical nonzero entry, or None."""
-    e1 = monomial_product(grading, m1)
-    e2 = monomial_product(grading, m2)
-    for i in range(1, grading.n + 1):
-        for j in range(1, grading.n + 1):
-            p = e1.entry(i, j)
-            if not p.is_zero and p == e2.entry(i, j):
-                return (i, j)
+    e1 = monomial_product(grading, m1).cells
+    e2 = monomial_product(grading, m2).cells
+    for pos in sorted(e1):
+        if e1[pos] == e2.get(pos):
+            return pos
     return None
 
 
 def identity_witness(f: Polynomial, grading: ElementaryGrading) -> dict:
     """Verdict report for the identity check: verified, or a nonzero entry."""
     value = evaluate(f, grading)
-    for (i, j) in value.nonzero_positions():
-        return {
-            "kind": "nonzero_entry",
-            "position": [i, j],
-            "entry": value.entry(i, j).text(grading),
-        }
-    return {"kind": "verified"}
+    if value.is_zero:
+        return {"kind": "verified"}
+    i, j = min(value.cells)
+    return {
+        "kind": "nonzero_entry",
+        "position": [i, j],
+        "entry": value.entry(i, j).text(grading),
+    }
 
 
 def centrality_witness(f: Polynomial, grading: ElementaryGrading) -> dict:
@@ -408,25 +423,22 @@ def centrality_witness(f: Polynomial, grading: ElementaryGrading) -> dict:
     Reports the first offending off-diagonal entry, or the first diagonal
     entry differing from the (1,1) entry, or a verified verdict.
     """
-    if f.constant_term != 0:
-        raise GradingError("centrality requires a zero constant term")
+    _require_zero_constant(f)
     value = evaluate(f, grading)
-    for i in range(1, value.n + 1):
-        for j in range(1, value.n + 1):
-            if i != j and not value.entry(i, j).is_zero:
-                return {
-                    "kind": "offdiag",
-                    "position": [i, j],
-                    "entry": value.entry(i, j).text(grading),
-                }
-    reference = value.entry(1, 1)
-    for k in range(2, value.n + 1):
-        if value.entry(k, k) != reference:
-            return {
-                "kind": "diag_mismatch",
-                "position": [k, k],
-                "entry": value.entry(k, k).text(grading),
-                "reference_position": [1, 1],
-                "reference_entry": reference.text(grading),
-            }
-    return {"kind": "verified"}
+    pos = value._nonscalar_position()
+    if pos is None:
+        return {"kind": "verified"}
+    i, j = pos
+    if i != j:
+        return {
+            "kind": "offdiag",
+            "position": [i, j],
+            "entry": value.entry(i, j).text(grading),
+        }
+    return {
+        "kind": "diag_mismatch",
+        "position": [i, i],
+        "entry": value.entry(i, i).text(grading),
+        "reference_position": [1, 1],
+        "reference_entry": value.entry(1, 1).text(grading),
+    }

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 Grade = Union[int, Tuple[int, int]]
 
@@ -22,6 +23,11 @@ MATRIX_UNITS = "matrix-unit-semigroup"
 
 #: absorbing zero of the matrix-position semigroup
 MU_ZERO: Grade = (0, 0)
+
+#: largest matrix size n a grading accepts.  A grading builds O(n^2) data
+#: (the support, and the Cayley table of a cyclic group) before any
+#: polynomial is read, so larger sizes are refused up front.
+MAX_MATRIX_SIZE = 512
 
 
 class GradingError(ValueError):
@@ -56,9 +62,15 @@ class GradingStructure:
             if not names:
                 raise GradingError("a finite group needs a non-empty carrier")
             self.names = tuple(str(x) for x in names)
-            self.table = tuple(tuple(row) for row in table)
             self.order = len(self.names)
-            self._identity, self._inverse = self._check_group()
+            if cyclic:
+                self.table = self._residue_table(table)
+                # residues by construction: 0 is the identity, -g the inverse
+                self._identity = 0
+                self._inverse = tuple((-g) % self.order for g in range(self.order))
+            else:
+                self.table = tuple(tuple(row) for row in table)
+                self._identity, self._inverse = self._check_group()
         elif kind == INTEGERS:
             pass
         elif kind == MATRIX_UNITS:
@@ -69,6 +81,15 @@ class GradingStructure:
             raise GradingError(f"unknown grading kind: {kind!r}")
 
     # -- construction checks -------------------------------------------------
+
+    def _residue_table(self, table):
+        """The addition table of the residues modulo the order.  A table
+        passed for a cyclic structure must be exactly that table."""
+        m = self.order
+        built = tuple(tuple((a + b) % m for b in range(m)) for a in range(m))
+        if table is not None and tuple(tuple(row) for row in table) != built:
+            raise GradingError("a cyclic structure needs the residue addition table")
+        return built
 
     def _check_group(self):
         m = self.order
@@ -151,10 +172,6 @@ class GradingStructure:
     def has_identity(self) -> bool:
         return self.kind != MATRIX_UNITS
 
-    @property
-    def has_inverses(self) -> bool:
-        return self.kind != MATRIX_UNITS
-
     # -- membership and formatting ---------------------------------------------
 
     def contains(self, g: Grade) -> bool:
@@ -222,12 +239,13 @@ class GradingStructure:
 
 
 def cyclic_group(n: int) -> GradingStructure:
-    """Additive group of residues modulo n, with the residues as indices."""
+    """Additive group of residues modulo n, with the residues as indices.
+
+    The table is built by construction, so it needs no O(n^3) group check.
+    """
     if n < 1:
         raise GradingError("cyclic group order must be positive")
-    names = [str(i) for i in range(n)]
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return GradingStructure(FINITE_GROUP, names=names, table=table, cyclic=True)
+    return GradingStructure(FINITE_GROUP, names=[str(i) for i in range(n)], cyclic=True)
 
 
 def integers() -> GradingStructure:
@@ -248,11 +266,12 @@ class RowStep:
 
     ``rows`` lists every row k that admits a matrix unit of the requested
     degree; ``target[k]`` is the unique column (equivalently, the next row in
-    a product walk) forced by that degree.
+    a product walk) forced by that degree.  ``target`` is a read-only view
+    of the row map the grading caches and shares with every walk.
     """
 
     rows: Tuple[int, ...]
-    target: Dict[int, int]
+    target: Mapping[int, int]
 
 
 @dataclass(frozen=True)
@@ -269,9 +288,9 @@ class RowWalk:
     paths: Dict[int, Tuple[int, ...]]
 
 
-def _walk_from(targets: Dict[Grade, Dict[int, int]], hs: Sequence[Grade], start: int) -> Optional[list]:
+def _walk_from(targets: Dict[Grade, Mapping[int, int]], hs: Sequence[Grade], start: int) -> Optional[list]:
     """Rows visited from ``start`` by a left-to-right sequence of degrees, or
-    None when the walk dies; ``targets[h]`` is ``degree_rows(h).target``."""
+    None when the walk dies; ``targets[h]`` is the row map of grade h."""
     path = [start]
     append = path.append
     cur = start
@@ -287,14 +306,17 @@ class ElementaryGrading:
     """Grading of the n-by-n matrix algebra induced by distinct row grades.
 
     Instances are immutable value objects; all derived data (support, row
-    maps) is computed from the inducing tuple.  The diagonal is exactly the
-    neutral component for group kinds because the row grades are distinct.
+    maps) is computed from the inducing tuple.  The row map of each grade is
+    computed once per grading and shared, read-only, by every later walk.
+    The diagonal is exactly the neutral component for group kinds because
+    the row grades are distinct.
     """
 
     def __init__(self, structure: GradingStructure, row_grades: Sequence[Grade], spec: Optional[str] = None):
         row_grades = tuple(row_grades)
         if not row_grades:
             raise GradingError("an elementary grading needs at least one row grade")
+        _check_matrix_size(len(row_grades))
         for g in row_grades:
             structure.require(g)
         if len(set(row_grades)) != len(row_grades):
@@ -310,6 +332,9 @@ class ElementaryGrading:
         self.row_grades = row_grades
         self.n = len(row_grades)
         self.spec = spec
+        # row map per grade, filled on first use; it lives and dies with this
+        # grading, which never changes after construction
+        self._targets: Dict[Grade, Dict[int, int]] = {}
         if structure.kind != MATRIX_UNITS:
             self._row_of_grade = {g: i + 1 for i, g in enumerate(row_grades)}
         else:
@@ -339,27 +364,36 @@ class ElementaryGrading:
 
     def degree_rows(self, h: Grade) -> RowStep:
         """Rows admitting a unit of degree h, with the forced column per row."""
+        target = self._target(h)
+        return RowStep(tuple(target), MappingProxyType(target))
+
+    def _target(self, h: Grade) -> Dict[int, int]:
+        """The row map of degree h: row k to the column its unit of degree h
+        forces.  Computed once per grade and cached on this grading; hot
+        loops read the dict itself, so callers must not change it."""
+        target = self._targets.get(h)
+        if target is not None:
+            return target
         self.structure.require(h)
+        target = {}
         if self.structure.kind == MATRIX_UNITS:
             if h != MU_ZERO and 1 <= h[0] <= self.n and 1 <= h[1] <= self.n:
-                return RowStep((h[0],), {h[0]: h[1]})
-            return RowStep((), {})
-        st = self.structure
-        rows = []
-        target: Dict[int, int] = {}
-        for k in range(1, self.n + 1):
-            j = self._row_of_grade.get(st.mul(self.row_grades[k - 1], h))
-            if j is not None:
-                rows.append(k)
-                target[k] = j
-        return RowStep(tuple(rows), target)
+                target[h[0]] = h[1]
+        else:
+            mul = self.structure.mul
+            for k in range(1, self.n + 1):
+                j = self._row_of_grade.get(mul(self.row_grades[k - 1], h))
+                if j is not None:
+                    target[k] = j
+        self._targets[h] = target
+        return target
 
     def row_walk(self, hs: Sequence[Grade]) -> RowWalk:
         """Surviving row walks for a left-to-right sequence of degrees."""
         targets = {}
         for h in hs:
             if h not in targets:
-                targets[h] = self.degree_rows(h).target
+                targets[h] = self._target(h)
         rows = []
         paths: Dict[int, Tuple[int, ...]] = {}
         for k in range(1, self.n + 1):
@@ -434,6 +468,12 @@ def enumerate_complete_sequences(n: int, *, max_size: int = 6) -> list:
 # -- grading spec strings -------------------------------------------------------
 
 
+def _check_matrix_size(n: int) -> int:
+    if n > MAX_MATRIX_SIZE:
+        raise GradingError(f"matrix size {n} exceeds the limit {MAX_MATRIX_SIZE}")
+    return n
+
+
 def _positive_int(text: str, what: str) -> int:
     try:
         value = int(text)
@@ -488,17 +528,17 @@ def parse_grading_spec(spec: str) -> ElementaryGrading:
     if not sep:
         raise GradingError(f"malformed grading spec {spec!r}")
     if head in ("zn", "zp"):
-        n = _positive_int(rest, "modulus")
+        n = _check_matrix_size(_positive_int(rest, "modulus"))
         if head == "zp" and not _is_prime(n):
             raise GradingError(f"zp grading needs a prime modulus, got {n}")
         structure = cyclic_group(n)
         row_grades = tuple(i % n for i in range(1, n + 1))
         return ElementaryGrading(structure, row_grades, spec=spec)
     if head == "z":
-        n = _positive_int(rest, "matrix size")
+        n = _check_matrix_size(_positive_int(rest, "matrix size"))
         return ElementaryGrading(integers(), tuple(range(1, n + 1)), spec=spec)
     if head == "mu":
-        n = _positive_int(rest, "matrix size")
+        n = _check_matrix_size(_positive_int(rest, "matrix size"))
         structure = matrix_unit_semigroup(n)
         return ElementaryGrading(structure, tuple((i, i) for i in range(1, n + 1)), spec=spec)
     if head == "group":

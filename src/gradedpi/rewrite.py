@@ -247,7 +247,7 @@ def find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Opt
     if m == n:
         return CongruenceProof(m, n, ())
     r = len(m)
-    targets = {g: grading.degree_rows(g).target for g in {v.grade for v in m.vars}}
+    targets = {g: grading._target(g) for g in {v.grade for v in m.vars}}
     if _matched_walks(m.vars, n.vars, targets, grading.n) is None:
         return None
     steps: List[Step] = []

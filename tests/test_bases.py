@@ -299,6 +299,32 @@ class TestBlockSymmetrization:
 
 
 class TestBasisReport:
+    def test_each_instance_is_evaluated_once(self, monkeypatch, s3_grading):
+        from gradedpi import bases, genericmodel
+
+        calls = []
+        real = genericmodel.evaluate
+
+        def counting(f, grading):
+            calls.append(f)
+            return real(f, grading)
+
+        monkeypatch.setattr(genericmodel, "evaluate", counting)
+        monkeypatch.setattr(bases, "evaluate", counting, raising=False)
+        cases = [
+            (ZP3, "central"),
+            (parse_grading_spec("zp:5"), "central"),
+            (Z3, "central"),
+            (Z3, "identities"),
+            (MU2, "identities"),
+            (s3_grading, "identities"),
+        ]
+        for grading, kind in cases:
+            calls.clear()
+            report = basis_report(grading, kind)
+            instances = sum(fam["instances"] for fam in report["families"])
+            assert len(calls) == instances, (grading, kind)
+
     def test_report_shape_and_determinism(self):
         report = basis_report(ZP3, "central")
         assert report["grading"] == "zp:3"

@@ -1,7 +1,9 @@
 """Command-line interface: verdicts, exit codes, and report stability."""
 
 import json
+import tracemalloc
 
+from gradedpi import MAX_MATRIX_SIZE, MAX_TERM_DEGREE
 from gradedpi.cli import main
 
 
@@ -235,3 +237,45 @@ class TestInternalErrors:
             assert code == 2, argv
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+class TestResourceCaps:
+    """Inputs over a documented cap exit 2 before anything is allocated."""
+
+    def _refused(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert peak < 2_000_000, (argv, peak)
+        return err
+
+    def test_term_degree_cap(self, capsys):
+        for poly, message in (
+            ("x[0,1]^9999999999999", "term degree exceeds the limit"),
+            (f"x[0,1]^{MAX_TERM_DEGREE + 1}", "term degree exceeds the limit"),
+            (f"x[0,1]^{MAX_TERM_DEGREE}*x[0,2]", "term degree exceeds the limit"),
+            ("x[0,1]^" + "9" * 5000, "malformed number"),
+            ("x[0,1]^\u00b2", "malformed number"),
+        ):
+            err = self._refused(
+                capsys, ["check-identity", "--grading", "zn:3", "--poly", poly]
+            )
+            assert message in err, poly
+        code, _, _ = run(
+            capsys, "check-identity", "--grading", "zn:3", "--poly", f"x[0,1]^{MAX_TERM_DEGREE}"
+        )
+        assert code == 1
+
+    def test_matrix_size_cap(self, capsys):
+        # zp: is refused before its primality loop could run
+        for spec in ("zn:1000000000", "zp:1000000000000000003", "z:100000", f"mu:{MAX_MATRIX_SIZE + 1}"):
+            err = self._refused(capsys, ["check-identity", "--grading", spec, "--poly", "x[0,1]"])
+            assert "exceeds the limit" in err, spec
+        code, _, _ = run(capsys, "check-identity", "--grading", "zn:128", "--poly", "x[0,1]")
+        assert code == 1

@@ -47,32 +47,26 @@ def yvar(h, i, k):
 class TestGenericMatrices:
     def test_degree_one_on_two_by_two(self):
         gm = make_generic(ZN2, 1, 1)
-        expected = PolyMatrix(
-            2,
-            [
-                [SparsePoly.zero(), yvar(1, 1, 1)],
-                [yvar(1, 1, 2), SparsePoly.zero()],
-            ],
-        )
-        assert gm.entries == expected
+        expected = PolyMatrix(2, {(1, 2): yvar(1, 1, 1), (2, 1): yvar(1, 1, 2)})
+        assert gm == expected
 
     def test_empty_support_degree_gives_zero(self):
         gm = make_generic(Z2, 2, 1)
-        assert gm.entries.is_zero
+        assert gm.is_zero
 
     def test_neutral_degree_is_diagonal(self):
         gm = make_generic(ZN3, 0, 1)
         for k in range(1, 4):
-            assert gm.entries.entry(k, k) == yvar(0, 1, k)
+            assert gm.entry(k, k) == yvar(0, 1, k)
         for i, j in itertools.permutations(range(1, 4), 2):
-            assert gm.entries.entry(i, j).is_zero
+            assert gm.entry(i, j).is_zero
 
 
 class TestMonomialProduct:
     def test_two_by_two_against_hand_multiplication(self):
         # independent oracle: multiply the two generic matrices explicitly
-        a = make_generic(ZN2, 1, 1).entries
-        b = make_generic(ZN2, 1, 2).entries
+        a = make_generic(ZN2, 1, 1)
+        b = make_generic(ZN2, 1, 2)
         closed = monomial_product(ZN2, mono((1, 1), (1, 2)))
         assert closed == a * b
         assert closed.entry(1, 1) == yvar(1, 1, 1) * yvar(1, 2, 2)

@@ -6,7 +6,9 @@ import pytest
 
 from gradedpi.grading import (
     ElementaryGrading,
+    FINITE_GROUP,
     GradingError,
+    GradingStructure,
     MU_ZERO,
     complete_sequence_unit_witness,
     cyclic_group,
@@ -35,6 +37,25 @@ class TestStructures:
             assert st.mul(a, st.inverse(a)) == 0
             for b in range(4):
                 assert st.mul(a, b) == (a + b) % 4
+
+    def test_cyclic_group_equals_its_validated_table(self):
+        # cyclic_group builds its structure without the group check; the
+        # same table through the checked path must give the same arithmetic
+        for n in range(1, 13):
+            names = [str(i) for i in range(n)]
+            table = [[(a + b) % n for b in range(n)] for a in range(n)]
+            built = cyclic_group(n)
+            checked = group_from_table(names, table)
+            assert built.identity == checked.identity
+            for a in range(n):
+                assert built.inverse(a) == checked.inverse(a)
+                for b in range(n):
+                    assert built.mul(a, b) == checked.mul(a, b)
+
+    def test_cyclic_structure_refuses_another_table(self):
+        klein = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+        with pytest.raises(GradingError):
+            GradingStructure(FINITE_GROUP, names="eabc", table=klein, cyclic=True)
 
     def test_integers(self):
         st = integers()
@@ -145,6 +166,22 @@ class TestElementaryGrading:
                 assert list(step.rows) == expected_rows
                 for k in step.rows:
                     assert grading.unit_degree(k, step.target[k]) == h
+
+    def test_degree_rows_cached_per_grading(self):
+        zn3 = parse_grading_spec("zn:3")
+        assert zn3.degree_rows(1).target == zn3._target(1)
+        assert zn3._target(1) is zn3._target(1)
+        # the shared row map cannot be changed through a caller
+        with pytest.raises(TypeError):
+            zn3.degree_rows(1).target[1] = 1
+        # a new grading of the same spec computes its own row maps
+        again = parse_grading_spec("zn:3")
+        assert again._target(1) is not zn3._target(1)
+        assert again.degree_rows(1) == zn3.degree_rows(1)
+        # an invalid grade is refused every time, never cached
+        for _ in range(2):
+            with pytest.raises(GradingError):
+                zn3.degree_rows(3)
 
     def test_row_walk_examples(self):
         zn2 = parse_grading_spec("zn:2")
