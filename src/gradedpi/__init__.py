@@ -13,6 +13,7 @@ from .grading import (
     ElementaryGrading,
     GradingError,
     GradingStructure,
+    MAX_COMPLETE_SEQUENCE_LENGTH,
     MAX_MATRIX_SIZE,
     MU_ZERO,
     complete_sequence_unit_witness,
@@ -72,6 +73,7 @@ from .rewrite import (
 from .bases import (
     BasisInstances,
     GeneratorInstance,
+    MAX_SCAN_TUPLES,
     basis_report,
     build_basis,
     cyclic_symmetrization,

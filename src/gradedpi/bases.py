@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .grading import (
     ElementaryGrading,
@@ -35,27 +35,16 @@ from .grading import (
 from .freealg import Monomial, Polynomial, Var, classify, format_polynomial, twin_block_threshold
 from .genericmodel import _require_zero_constant, evaluate, is_identity
 
-EXPECT_IDENTITY = "identity"
-EXPECT_CENTRAL_IDENTITY = "central-identity"
-EXPECT_PROPER_CENTRAL = "proper-central"
+#: largest number of degree tuples, the sum of |support|^d over d <= D, that
+#: one monomial-identity scan may walk (``enumerate_monomial_identities`` up
+#: to its degree bound, family (4) up to its cutoff).  The count is checked
+#: before the scan starts, so a larger scan is refused, not run.
+MAX_SCAN_TUPLES = 100_000
 
-_EXPECTATIONS = {
-    "(1)": EXPECT_IDENTITY,
-    "(2)": EXPECT_IDENTITY,
-    "(3)": EXPECT_IDENTITY,
-    "(4)": EXPECT_IDENTITY,
-    "(5)": EXPECT_IDENTITY,
-    "(6)": EXPECT_IDENTITY,
-    "(7)": EXPECT_IDENTITY,
-    "(8)": EXPECT_CENTRAL_IDENTITY,
-    "(9)": EXPECT_CENTRAL_IDENTITY,
-    "(10)": EXPECT_PROPER_CENTRAL,
-    "(11)": EXPECT_PROPER_CENTRAL,
-    "(12)": EXPECT_CENTRAL_IDENTITY,
-    "(13)": EXPECT_CENTRAL_IDENTITY,
-    "(14)": EXPECT_CENTRAL_IDENTITY,
-    "(15)": EXPECT_PROPER_CENTRAL,
-}
+#: the families whose instances are central but not identities.  Every other
+#: family is checked to vanish, the central families (8), (9) and (12)-(14)
+#: included: an identity is central as well, since the zero matrix is scalar.
+PROPER_CENTRAL_FAMILIES = frozenset({"(10)", "(11)", "(15)"})
 
 
 class BasesError(ValueError):
@@ -67,10 +56,6 @@ class GeneratorInstance:
     family: str
     poly: Polynomial
     params: dict
-
-    @property
-    def expect(self) -> str:
-        return _EXPECTATIONS[self.family]
 
 
 @dataclass
@@ -91,12 +76,6 @@ def _reversal(a: Var, b: Var, c: Var) -> Polynomial:
     return Polynomial({_mono(a, b, c): 1, _mono(c, b, a): -1})
 
 
-def _flanked(inner: Polynomial, z1: Optional[Var], z2: Optional[Var]) -> Polynomial:
-    left = Polynomial.from_var(z1) if z1 else Polynomial.one()
-    right = Polynomial.from_var(z2) if z2 else Polynomial.one()
-    return left * inner * right
-
-
 def canonical_monomial(hs: Sequence[Grade]) -> Monomial:
     """Multilinear monomial for a degree tuple, indexed per grade by first
     occurrence, so identity-hood depends only on the tuple."""
@@ -108,30 +87,45 @@ def canonical_monomial(hs: Sequence[Grade]) -> Monomial:
     return Monomial(vars)
 
 
-def enumerate_monomial_identities(
-    grading: ElementaryGrading, max_degree: int, *, degree_limit: int = 8
-) -> List[Monomial]:
+def _dead_monomials(grading: ElementaryGrading, max_degree: int) -> Iterator[Monomial]:
+    """Canonical monomials of the degree tuples over the support, of degree
+    1 to ``max_degree``, that no row walk survives.
+
+    Refuses a negative bound, and a scan of more than ``MAX_SCAN_TUPLES``
+    tuples, before any tuple is walked.
+    """
+    if max_degree < 0:
+        raise BasesError(f"degree bound must be non-negative, got {max_degree}")
+    supp = sorted(grading.support())
+    tuples = 0
+    for d in range(1, max_degree + 1):
+        tuples += len(supp) ** d
+        if tuples > MAX_SCAN_TUPLES:
+            raise BasesError(
+                f"scanning degree tuples up to degree {max_degree} over {len(supp)} "
+                f"support grades exceeds the limit of {MAX_SCAN_TUPLES} tuples"
+            )
+    return (
+        canonical_monomial(hs)
+        for d in range(1, max_degree + 1)
+        for hs in itertools.product(supp, repeat=d)
+        if not grading.row_walk(hs).rows
+    )
+
+
+def enumerate_monomial_identities(grading: ElementaryGrading, max_degree: int) -> List[Monomial]:
     """All multilinear monomial identities up to a degree bound.
 
     One canonical representative is produced per degree tuple over the
     support; a tuple with a grade outside the support is an identity for the
-    trivial reason and is not enumerated.
+    trivial reason and is not enumerated.  The scan is capped at
+    ``MAX_SCAN_TUPLES`` degree tuples.
     """
-    if max_degree > degree_limit:
-        raise BasesError(
-            f"degree bound {max_degree} exceeds the enumeration limit {degree_limit}"
-        )
-    supp = sorted(grading.support())
-    out = []
-    for d in range(1, max_degree + 1):
-        for hs in itertools.product(supp, repeat=d):
-            if not grading.row_walk(hs).rows:
-                out.append(canonical_monomial(hs))
-    return out
+    return list(_dead_monomials(grading, max_degree))
 
 
 def _residue(grading: ElementaryGrading, grade: Grade) -> int:
-    if grading.structure.kind == FINITE_GROUP and grading.structure.is_cyclic:
+    if grading.structure.is_cyclic:
         return grade
     if grading.structure.kind == INTEGERS:
         return grade % grading.n
@@ -167,7 +161,7 @@ def factor_complete(m: Monomial, grading: ElementaryGrading) -> Optional[List[Mo
     visits all rows.
     """
     st = grading.structure
-    if st.kind != FINITE_GROUP or not st.is_cyclic:
+    if not st.is_cyclic:
         raise BasesError("complete factorization needs the canonical cyclic grading")
     n = grading.n
     if m.degree(grading) != 0:
@@ -206,7 +200,7 @@ def reduce_central_monomial(m: Monomial, grading: ElementaryGrading) -> Polynomi
     checked to differ from the input by an identity.
     """
     st = grading.structure
-    if st.kind != FINITE_GROUP or not st.is_cyclic or not _is_prime(st.order):
+    if not st.is_cyclic or not _is_prime(st.order):
         raise BasesError("central reduction needs a prime residue grading")
     if st.order != grading.n:
         raise BasesError("central reduction needs the canonical residue grading")
@@ -279,57 +273,56 @@ def _kill_instances(grading: ElementaryGrading, grades: Iterable[Grade]) -> List
     ]
 
 
+def _integer_kill_grades(n: int) -> List[int]:
+    """Representatives of the grades outside the support of z:n, whose
+    variables the kill families (3) and (14) cover."""
+    return [n, -n, n + 1, -(n + 1)]
+
+
 def _support_closed_monomial_identities(
     grading: ElementaryGrading, cutoff: int
 ) -> Tuple[List[GeneratorInstance], bool]:
-    supp = sorted(grading.support())
-    threshold = twin_block_threshold(len(supp))
+    threshold = twin_block_threshold(len(grading.support()))
     effective = min(cutoff, threshold)
-    out = []
-    for d in range(1, effective + 1):
-        for hs in itertools.product(supp, repeat=d):
-            mono = canonical_monomial(hs)
-            if grading.row_walk(hs).rows:
-                continue
-            if not classify(mono, grading).support_closed:
-                continue
-            out.append(
-                GeneratorInstance(
-                    "(4)",
-                    Polynomial.from_monomial(mono),
-                    {"h": [grading.structure.format_grade(h) for h in hs]},
-                )
-            )
+    format_grade = grading.structure.format_grade
+    out = [
+        GeneratorInstance(
+            "(4)", Polynomial.from_monomial(mono), {"h": [format_grade(h) for h in mono.h]}
+        )
+        for mono in _dead_monomials(grading, effective)
+        if classify(mono, grading).support_closed
+    ]
     return out, effective < threshold
 
 
 def _flank_family(
     family: str,
     grading: ElementaryGrading,
-    inner_list: List[Tuple[Polynomial, dict]],
+    inner: List[GeneratorInstance],
     flank_grades: Sequence[Grade],
-    flank_base_index: int,
 ) -> List[GeneratorInstance]:
+    """Each inner instance, relabelled to ``family``, alone and then flanked
+    as z1 * f * z2 for every pair of flank grades.  The flanking variables
+    take indices 4 and 5, which no inner instance uses."""
     st = grading.structure
     out = []
-    for inner, params in inner_list:
-        out.append(GeneratorInstance(family, inner, dict(params, flanked=False)))
-        for a in flank_grades:
-            for b in flank_grades:
-                z1 = Var(a, flank_base_index)
-                z2 = Var(b, flank_base_index + 1)
-                out.append(
-                    GeneratorInstance(
-                        family,
-                        _flanked(inner, z1, z2),
-                        dict(
-                            params,
-                            flanked=True,
-                            z1=st.format_grade(a),
-                            z2=st.format_grade(b),
-                        ),
-                    )
+    for base in inner:
+        out.append(GeneratorInstance(family, base.poly, dict(base.params, flanked=False)))
+        for a, b in itertools.product(flank_grades, repeat=2):
+            z1 = Polynomial.from_var(Var(a, 4))
+            z2 = Polynomial.from_var(Var(b, 5))
+            out.append(
+                GeneratorInstance(
+                    family,
+                    z1 * base.poly * z2,
+                    dict(
+                        base.params,
+                        flanked=True,
+                        z1=st.format_grade(a),
+                        z2=st.format_grade(b),
+                    ),
                 )
+            )
     return out
 
 
@@ -396,10 +389,13 @@ def build_basis(
 
     ``kind`` is "identities" or "central".  ``cutoff`` caps the enumeration
     degree of family (4); the result is flagged truncated when the cap is
-    below the full enumeration threshold.  Families with infinitely many
-    instances over the integer grading ((2), (3), (14)) are emitted for a
-    finite representative set of grades.
+    below the full enumeration threshold.  A negative cutoff, or one whose
+    scan would walk more than ``MAX_SCAN_TUPLES`` degree tuples, is refused.
+    Families with infinitely many instances over the integer grading ((2),
+    (3), (14)) are emitted for a finite representative set of grades.
     """
+    if cutoff is not None and cutoff < 0:
+        raise BasesError(f"cutoff must be non-negative, got {cutoff}")
     st = grading.structure
     n = grading.n
     if kind == "identities":
@@ -423,7 +419,7 @@ def build_basis(
             instances = [_neutral_commutator(grading)]
             grades = [g for g in range(-(n - 1), n) if g != 0] + [n, -n]
             instances += _reversal_instances(grading, grades)
-            instances += _kill_instances(grading, [n, -n, n + 1, -(n + 1)])
+            instances += _kill_instances(grading, _integer_kill_grades(n))
             return BasisInstances(instances, False)
         if st.kind == MATRIX_UNITS:
             instances = []
@@ -443,19 +439,12 @@ def build_basis(
             return BasisInstances(instances, False)
         raise BasesError(f"unsupported grading kind for identities: {st.kind}")
     if kind == "central":
-        if st.kind == FINITE_GROUP and st.is_cyclic and st.order == n and _is_prime(n):
-            all_grades = list(range(n))
-            inner8 = [(_commutator(Var(0, 1), Var(0, 2)), {})]
-            inner9 = [
-                (
-                    _reversal(Var(g, 1), Var(st.inverse(g), 2), Var(g, 3)),
-                    {"g": st.format_grade(g)},
-                )
-                for g in all_grades
-                if g != 0
-            ]
-            instances = _flank_family("(8)", grading, inner8, all_grades, 4)
-            instances += _flank_family("(9)", grading, inner9, all_grades, 4)
+        if st.is_cyclic and st.order == n and _is_prime(n):
+            grades = list(range(n))
+            instances = _flank_family("(8)", grading, [_neutral_commutator(grading)], grades)
+            instances += _flank_family(
+                "(9)", grading, _reversal_instances(grading, grades[1:]), grades
+            )
             instances += _central_power_family(grading)
             instances += _symmetrization_family(
                 "(11)", grading, enumerate_complete_sequences(n)
@@ -463,19 +452,13 @@ def build_basis(
             return BasisInstances(instances, False)
         if st.kind == INTEGERS:
             supp = sorted(grading.support())
-            inner12 = [(_commutator(Var(0, 1), Var(0, 2)), {})]
-            inner13 = [
-                (_reversal(Var(g, 1), Var(-g, 2), Var(g, 3)), {"g": str(g)})
-                for g in supp
-                if g != 0
-            ]
-            inner14 = [
-                (Polynomial.from_var(Var(h, 1)), {"h": str(h)})
-                for h in (n, -n, n + 1, -(n + 1))
-            ]
-            instances = _flank_family("(12)", grading, inner12, supp, 4)
-            instances += _flank_family("(13)", grading, inner13, supp, 4)
-            instances += _flank_family("(14)", grading, inner14, supp, 4)
+            instances = _flank_family("(12)", grading, [_neutral_commutator(grading)], supp)
+            instances += _flank_family(
+                "(13)", grading, _reversal_instances(grading, [g for g in supp if g != 0]), supp
+            )
+            instances += _flank_family(
+                "(14)", grading, _kill_instances(grading, _integer_kill_grades(n)), supp
+            )
             # residue-complete lifts with a nonzero integer sum end every row
             # walk off its start by a multiple of n, so they are identities.
             # A sum-zero lift is properly central exactly when its partial
@@ -500,13 +483,13 @@ def build_basis(
 
 
 def verify_instance(inst: GeneratorInstance, grading: ElementaryGrading) -> bool:
-    """Check an instance against its family's defining property.
+    """Check an instance against its family's defining property: a nonzero
+    scalar for ``PROPER_CENTRAL_FAMILIES``, zero for every other family.
 
-    Both verdicts are read from one generic evaluation.  An identity is
-    central as well, since the zero matrix is scalar.
+    Both verdicts are read from one generic evaluation.
     """
     value = evaluate(inst.poly, grading)
-    if inst.expect != EXPECT_PROPER_CENTRAL:
+    if inst.family not in PROPER_CENTRAL_FAMILIES:
         return value.is_zero
     _require_zero_constant(inst.poly)
     return value.is_scalar and not value.is_zero

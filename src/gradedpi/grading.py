@@ -29,6 +29,10 @@ MU_ZERO: Grade = (0, 0)
 #: polynomial is read, so larger sizes are refused up front.
 MAX_MATRIX_SIZE = 512
 
+#: longest complete sequence ``enumerate_complete_sequences`` lists.  It
+#: filters all n**n residue sequences, so a longer one is refused.
+MAX_COMPLETE_SEQUENCE_LENGTH = 6
+
 
 class GradingError(ValueError):
     """Invalid grading structure, grade value, or grading spec string."""
@@ -451,12 +455,12 @@ def complete_sequence_unit_witness(n: int, seq: Sequence[int]) -> Optional[Tuple
     return tuple(units)
 
 
-def enumerate_complete_sequences(n: int, *, max_size: int = 6) -> list:
+def enumerate_complete_sequences(n: int) -> list:
     """All complete length-n residue sequences in lexicographic order."""
-    if n > max_size:
+    if n > MAX_COMPLETE_SEQUENCE_LENGTH:
         raise GradingError(
-            f"refusing to enumerate {n}**{n} sequences (bound {max_size}); "
-            "raise max_size explicitly if you mean it"
+            f"refusing to enumerate {n}**{n} sequences "
+            f"(bound {MAX_COMPLETE_SEQUENCE_LENGTH})"
         )
     return [
         seq

@@ -196,6 +196,13 @@ def _block_kept(block, old_block, row: int, old_path, targets) -> bool:
     )
 
 
+def _swap_and_reverse_rules(grading: ElementaryGrading) -> Tuple[str, str]:
+    """The swap and reversal rule names of the grading's kind."""
+    if grading.structure.kind == MATRIX_UNITS:
+        return MU_SWAP, MU_REVERSE
+    return SWAP_NEUTRAL, REVERSE_CONJUGATE
+
+
 def _rearrangement_steps(grading, base, k1, k2, k3, cur):
     """Steps that bring the block [k2..k3] (suffix-relative) to the front.
 
@@ -203,15 +210,13 @@ def _rearrangement_steps(grading, base, k1, k2, k3, cur):
     deg(A) = deg(C) = deg(B)^-1.  When A is empty or neutral every block is
     neutral and adjacent swaps suffice; otherwise one reversal does it.
     """
-    is_mu = grading.structure.kind == MATRIX_UNITS
-    swap_rule = MU_SWAP if is_mu else SWAP_NEUTRAL
-    rev_rule = MU_REVERSE if is_mu else REVERSE_CONJUGATE
+    swap_rule, rev_rule = _swap_and_reverse_rules(grading)
     la, lb, lc = k1 - 1, k2 - k1, k3 - k2 + 1
     off = base
     if la == 0:
         return [Step(swap_rule, (off + 1, off + lb, off + lb + lc))]
     deg_a = cur.window(off + 1, off + la).degree(grading)
-    neutral_a = _is_diagonal(deg_a) if is_mu else deg_a == grading.structure.identity
+    neutral_a = _is_diagonal(deg_a) if swap_rule == MU_SWAP else deg_a == grading.structure.identity
     if neutral_a:
         return [
             Step(swap_rule, (off + la + 1, off + la + lb, off + la + lb + lc)),

@@ -15,7 +15,6 @@ from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 from .grading import (
     ElementaryGrading,
     INTEGERS,
-    MATRIX_UNITS,
     complete_sequence_unit_witness,
     is_complete_sequence,
     parse_grading_spec,
@@ -37,13 +36,13 @@ from .genericmodel import (
     naive_monomial_product,
     units_of_degree,
 )
-from .rewrite import apply_rule, find_congruence, replay
+from .rewrite import _swap_and_reverse_rules, apply_rule, find_congruence, replay
 from .bases import (
+    basis_report,
     build_basis,
     canonical_monomial,
     cyclic_symmetrization,
     enumerate_monomial_identities,
-    verify_instance,
 )
 
 
@@ -81,11 +80,8 @@ def _random_monomial_of_grade(
     grades = []
     for _ in range(length - 1):
         grades.append(_random_grade(grading, rng))
-    if st.kind == INTEGERS:
-        grades.append(target - sum(grades))
-    else:
-        acc = st.product(grades)
-        grades.append(st.mul(st.inverse(acc), target))
+    acc = st.product(grades)
+    grades.append(st.mul(st.inverse(acc), target))
     return Monomial(Var(g, rng.randint(index_base, index_base + 5)) for g in grades)
 
 
@@ -144,26 +140,24 @@ def _monomials_for_degree_tuple(hs: Sequence) -> Iterable[Monomial]:
 GENERATOR_GRADINGS = ["zn:2", "zn:3", "zn:4", "z:2", "z:3", "z:4", "mu:2", "mu:3"]
 
 
-def battery_generator_identities(seed: int = 0) -> List[ItemResult]:
-    """Every emitted identity-family instance vanishes on generic matrices."""
+def _family_items(specs: Iterable[str], kind: str) -> List[ItemResult]:
+    """One item per family of each grading's basis report: it passes when
+    every instance of the family verifies."""
     items: List[ItemResult] = []
-    for spec in GENERATOR_GRADINGS:
-        grading = parse_grading_spec(spec)
-        basis = build_basis(grading, "identities")
-        per_family: Dict[str, List[bool]] = {}
-        for inst in basis.instances:
-            per_family.setdefault(inst.family, []).append(
-                verify_instance(inst, grading)
-            )
-        for family in sorted(per_family, key=lambda f: int(f.strip("()"))):
-            oks = per_family[family]
+    for spec in specs:
+        for fam in basis_report(parse_grading_spec(spec), kind)["families"]:
             _item(
                 items,
-                f"{spec}/{family}",
-                all(oks),
-                f"{sum(oks)}/{len(oks)} instances",
+                f"{spec}/{fam['id']}",
+                fam["verified"] == fam["instances"],
+                f"{fam['verified']}/{fam['instances']} instances",
             )
     return items
+
+
+def battery_generator_identities(seed: int = 0) -> List[ItemResult]:
+    """Every emitted identity-family instance vanishes on generic matrices."""
+    return _family_items(GENERATOR_GRADINGS, "identities")
 
 
 def battery_identity_consequences(seed: int = 0, lane: str = "both") -> List[ItemResult]:
@@ -290,23 +284,7 @@ def battery_fast_product(seed: int = 0) -> List[ItemResult]:
 
 def battery_central_residue(seed: int = 0) -> List[ItemResult]:
     """Central families over prime residue gradings verify as expected."""
-    items: List[ItemResult] = []
-    for p in (2, 3, 5):
-        grading = parse_grading_spec(f"zp:{p}")
-        basis = build_basis(grading, "central")
-        per_family: Dict[str, List[bool]] = {}
-        for inst in basis.instances:
-            per_family.setdefault(inst.family, []).append(
-                verify_instance(inst, grading)
-            )
-        for family in sorted(per_family, key=lambda f: int(f.strip("()"))):
-            oks = per_family[family]
-            _item(
-                items,
-                f"zp:{p}/{family}",
-                all(oks),
-                f"{sum(oks)}/{len(oks)} instances",
-            )
+    items = _family_items(["zp:2", "zp:3", "zp:5"], "central")
     grading = parse_grading_spec("zp:3")
     x1, x2 = Var(1, 1), Var(1, 2)
     cube = Monomial((x1, x2) * 3)
@@ -323,24 +301,7 @@ def battery_central_residue(seed: int = 0) -> List[ItemResult]:
 
 def battery_central_integer(seed: int = 0) -> List[ItemResult]:
     """Central families over the integer grading verify as expected."""
-    items: List[ItemResult] = []
-    for n in (2, 3):
-        grading = parse_grading_spec(f"z:{n}")
-        basis = build_basis(grading, "central")
-        per_family: Dict[str, List[bool]] = {}
-        for inst in basis.instances:
-            per_family.setdefault(inst.family, []).append(
-                verify_instance(inst, grading)
-            )
-        for family in sorted(per_family, key=lambda f: int(f.strip("()"))):
-            oks = per_family[family]
-            _item(
-                items,
-                f"z:{n}/{family}",
-                all(oks),
-                f"{sum(oks)}/{len(oks)} instances",
-            )
-    return items
+    return _family_items(["z:2", "z:3"], "central")
 
 
 def _unit_chain_exists(grading: ElementaryGrading, seq: Sequence[int]) -> bool:
@@ -397,11 +358,7 @@ def battery_complete_sequences(seed: int = 0) -> List[ItemResult]:
 
 def _applicable_rewrites(m: Monomial, grading: ElementaryGrading):
     """All swap and reversal applications currently legal on a monomial."""
-    from .rewrite import MU_REVERSE, MU_SWAP, REVERSE_CONJUGATE, SWAP_NEUTRAL
-
-    is_mu = grading.structure.kind == MATRIX_UNITS
-    swap_rule = MU_SWAP if is_mu else SWAP_NEUTRAL
-    rev_rule = MU_REVERSE if is_mu else REVERSE_CONJUGATE
+    swap_rule, rev_rule = _swap_and_reverse_rules(grading)
     l = len(m)
     found = []
     for p in range(1, l + 1):
@@ -525,6 +482,16 @@ def battery_twin_blocks(seed: int = 0) -> List[ItemResult]:
     return items
 
 
+def _neutral_word_values(grading: ElementaryGrading, grades, is_neutral) -> Iterable:
+    """Generic values of the monomials of degree 1 to 5 over ``grades`` whose
+    degree tuple passes ``is_neutral``, one per repetition pattern."""
+    for d in range(1, 6):
+        for hs in itertools.product(grades, repeat=d):
+            if is_neutral(hs):
+                for mono in _monomials_for_degree_tuple(hs):
+                    yield evaluate(Polynomial.from_monomial(mono), grading)
+
+
 def battery_distinct_entries(seed: int = 0, lane: str = "both") -> List[ItemResult]:
     """Diagonal entries of non-central neutral words are pairwise distinct
     over residue gradings; all nonzero entries are distinct over the
@@ -537,25 +504,14 @@ def battery_distinct_entries(seed: int = 0, lane: str = "both") -> List[ItemResu
         n = grading.n
         ok = True
         checked = 0
-        for d in range(1, 6):
-            for hs in itertools.product(range(n), repeat=d):
-                if sum(hs) % n != 0:
-                    continue
-                for mono in _monomials_for_degree_tuple(hs):
-                    value = evaluate(Polynomial.from_monomial(mono), grading)
-                    diag = [value.entry(k, k) for k in range(1, n + 1)]
-                    if value.is_scalar:
-                        continue
-                    checked += 1
-                    if any(p.is_zero for p in diag):
-                        ok = False
-                        break
-                    if len({tuple(sorted(p.terms.items())) for p in diag}) != n:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+        for value in _neutral_word_values(grading, range(n), lambda hs: sum(hs) % n == 0):
+            if value.is_scalar:
+                continue
+            checked += 1
+            diag = [value.entry(k, k) for k in range(1, n + 1)]
+            keys = {tuple(sorted(p.terms.items())) for p in diag}
+            if any(p.is_zero for p in diag) or len(keys) != n:
+                ok = False
                 break
         _item(items, f"{spec}/distinct-diagonal", ok, f"{checked} non-central words")
     for spec in integer_specs:
@@ -563,25 +519,14 @@ def battery_distinct_entries(seed: int = 0, lane: str = "both") -> List[ItemResu
         supp = sorted(grading.support())
         ok = True
         checked = 0
-        for d in range(1, 6):
-            for hs in itertools.product(supp, repeat=d):
-                if sum(hs) != 0:
-                    continue
-                for mono in _monomials_for_degree_tuple(hs):
-                    value = evaluate(Polynomial.from_monomial(mono), grading)
-                    entries = [
-                        value.entry(i, j) for (i, j) in value.nonzero_positions()
-                    ]
-                    if not entries:
-                        continue
-                    checked += 1
-                    keys = {tuple(sorted(p.terms.items())) for p in entries}
-                    if len(keys) != len(entries):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+        for value in _neutral_word_values(grading, supp, lambda hs: sum(hs) == 0):
+            entries = [value.entry(i, j) for (i, j) in value.nonzero_positions()]
+            if not entries:
+                continue
+            checked += 1
+            keys = {tuple(sorted(p.terms.items())) for p in entries}
+            if len(keys) != len(entries):
+                ok = False
                 break
         _item(items, f"{spec}/distinct-entries", ok, f"{checked} nonzero words")
     return items
@@ -592,10 +537,10 @@ def battery_positional_basis(seed: int = 0) -> List[ItemResult]:
     exactly the zero-degree words."""
     items: List[ItemResult] = []
     for spec in ("mu:2", "mu:3"):
-        grading = parse_grading_spec(spec)
-        basis = build_basis(grading, "identities")
-        oks = [verify_instance(inst, grading) for inst in basis.instances]
-        _item(items, f"{spec}/families", all(oks), f"{sum(oks)}/{len(oks)} instances")
+        families = basis_report(parse_grading_spec(spec), "identities")["families"]
+        verified = sum(fam["verified"] for fam in families)
+        instances = sum(fam["instances"] for fam in families)
+        _item(items, f"{spec}/families", verified == instances, f"{verified}/{instances} instances")
     grading = parse_grading_spec("mu:2")
     found = enumerate_monomial_identities(grading, 3)
     expected_ok = all(

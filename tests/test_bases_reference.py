@@ -1,0 +1,360 @@
+"""Differential check of the generator families against the construction they
+replaced, and golden items of the suites' family batteries.
+
+``reference_build_basis``, ``reference_flank_family`` (with ``_flanked``),
+``reference_support_closed_monomial_identities`` and
+``reference_verify_instance`` (with ``REFERENCE_EXPECTATIONS``) are the
+earlier construction, kept verbatim apart from their names: the central
+families (8)/(9) and (12)-(14) wrote their commutator, reversal and kill
+polynomials by hand, family (4) built a canonical monomial for every degree
+tuple, and every family carried its own expectation.  The library must emit
+the same instances, with the same parameters, truncation flags and verdicts.
+"""
+
+import itertools
+from typing import List, Optional, Sequence, Tuple
+
+import pytest
+
+from gradedpi.bases import (
+    BasesError,
+    BasisInstances,
+    GeneratorInstance,
+    _central_power_family,
+    _commutator,
+    _kill_instances,
+    _neutral_commutator,
+    _partial_sum_span,
+    _reversal,
+    _reversal_instances,
+    _symmetrization_family,
+    build_basis,
+    canonical_monomial,
+    verify_instance,
+)
+from gradedpi.freealg import Polynomial, Var, classify, format_polynomial, twin_block_threshold
+from gradedpi.genericmodel import _require_zero_constant, evaluate
+from gradedpi.grading import (
+    ElementaryGrading,
+    FINITE_GROUP,
+    Grade,
+    INTEGERS,
+    MATRIX_UNITS,
+    MU_ZERO,
+    _is_prime,
+    enumerate_complete_sequences,
+    is_complete_sequence,
+    parse_grading_spec,
+)
+from gradedpi.suites import (
+    battery_central_integer,
+    battery_central_residue,
+    battery_generator_identities,
+    battery_positional_basis,
+)
+
+EXPECT_IDENTITY = "identity"
+EXPECT_CENTRAL_IDENTITY = "central-identity"
+EXPECT_PROPER_CENTRAL = "proper-central"
+
+REFERENCE_EXPECTATIONS = {
+    "(1)": EXPECT_IDENTITY,
+    "(2)": EXPECT_IDENTITY,
+    "(3)": EXPECT_IDENTITY,
+    "(4)": EXPECT_IDENTITY,
+    "(5)": EXPECT_IDENTITY,
+    "(6)": EXPECT_IDENTITY,
+    "(7)": EXPECT_IDENTITY,
+    "(8)": EXPECT_CENTRAL_IDENTITY,
+    "(9)": EXPECT_CENTRAL_IDENTITY,
+    "(10)": EXPECT_PROPER_CENTRAL,
+    "(11)": EXPECT_PROPER_CENTRAL,
+    "(12)": EXPECT_CENTRAL_IDENTITY,
+    "(13)": EXPECT_CENTRAL_IDENTITY,
+    "(14)": EXPECT_CENTRAL_IDENTITY,
+    "(15)": EXPECT_PROPER_CENTRAL,
+}
+
+
+def _flanked(inner: Polynomial, z1: Optional[Var], z2: Optional[Var]) -> Polynomial:
+    left = Polynomial.from_var(z1) if z1 else Polynomial.one()
+    right = Polynomial.from_var(z2) if z2 else Polynomial.one()
+    return left * inner * right
+
+
+def reference_support_closed_monomial_identities(
+    grading: ElementaryGrading, cutoff: int
+) -> Tuple[List[GeneratorInstance], bool]:
+    supp = sorted(grading.support())
+    threshold = twin_block_threshold(len(supp))
+    effective = min(cutoff, threshold)
+    out = []
+    for d in range(1, effective + 1):
+        for hs in itertools.product(supp, repeat=d):
+            mono = canonical_monomial(hs)
+            if grading.row_walk(hs).rows:
+                continue
+            if not classify(mono, grading).support_closed:
+                continue
+            out.append(
+                GeneratorInstance(
+                    "(4)",
+                    Polynomial.from_monomial(mono),
+                    {"h": [grading.structure.format_grade(h) for h in hs]},
+                )
+            )
+    return out, effective < threshold
+
+
+def reference_flank_family(
+    family: str,
+    grading: ElementaryGrading,
+    inner_list: List[Tuple[Polynomial, dict]],
+    flank_grades: Sequence[Grade],
+    flank_base_index: int,
+) -> List[GeneratorInstance]:
+    st = grading.structure
+    out = []
+    for inner, params in inner_list:
+        out.append(GeneratorInstance(family, inner, dict(params, flanked=False)))
+        for a in flank_grades:
+            for b in flank_grades:
+                z1 = Var(a, flank_base_index)
+                z2 = Var(b, flank_base_index + 1)
+                out.append(
+                    GeneratorInstance(
+                        family,
+                        _flanked(inner, z1, z2),
+                        dict(
+                            params,
+                            flanked=True,
+                            z1=st.format_grade(a),
+                            z2=st.format_grade(b),
+                        ),
+                    )
+                )
+    return out
+
+
+def reference_build_basis(
+    grading: ElementaryGrading, kind: str, cutoff: Optional[int] = None
+) -> BasisInstances:
+    st = grading.structure
+    n = grading.n
+    if kind == "identities":
+        if st.kind == FINITE_GROUP:
+            instances = [_neutral_commutator(grading)]
+            instances += _reversal_instances(
+                grading, [g for g in st.elements() if g != st.identity]
+            )
+            if st.order == n:
+                # the support is the whole group: the kill family is empty and
+                # no monomial identities exist, so (1)-(2) already generate
+                return BasisInstances(instances, False)
+            instances += _kill_instances(
+                grading, [h for h in st.elements() if h not in grading.support()]
+            )
+            fam4, truncated = reference_support_closed_monomial_identities(
+                grading, cutoff if cutoff is not None else 4
+            )
+            return BasisInstances(instances + fam4, truncated)
+        if st.kind == INTEGERS:
+            instances = [_neutral_commutator(grading)]
+            grades = [g for g in range(-(n - 1), n) if g != 0] + [n, -n]
+            instances += _reversal_instances(grading, grades)
+            instances += _kill_instances(grading, [n, -n, n + 1, -(n + 1)])
+            return BasisInstances(instances, False)
+        if st.kind == MATRIX_UNITS:
+            instances = []
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    poly = _commutator(Var((i, i), 1), Var((j, j), 2))
+                    instances.append(GeneratorInstance("(5)", poly, {"i": i, "j": j}))
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    if i == j:
+                        continue
+                    poly = _reversal(Var((i, j), 1), Var((j, i), 2), Var((i, j), 3))
+                    instances.append(GeneratorInstance("(6)", poly, {"i": i, "j": j}))
+            instances.append(
+                GeneratorInstance("(7)", Polynomial.from_var(Var(MU_ZERO, 1)), {})
+            )
+            return BasisInstances(instances, False)
+        raise BasesError(f"unsupported grading kind for identities: {st.kind}")
+    if kind == "central":
+        if st.kind == FINITE_GROUP and st.is_cyclic and st.order == n and _is_prime(n):
+            all_grades = list(range(n))
+            inner8 = [(_commutator(Var(0, 1), Var(0, 2)), {})]
+            inner9 = [
+                (
+                    _reversal(Var(g, 1), Var(st.inverse(g), 2), Var(g, 3)),
+                    {"g": st.format_grade(g)},
+                )
+                for g in all_grades
+                if g != 0
+            ]
+            instances = reference_flank_family("(8)", grading, inner8, all_grades, 4)
+            instances += reference_flank_family("(9)", grading, inner9, all_grades, 4)
+            instances += _central_power_family(grading)
+            instances += _symmetrization_family(
+                "(11)", grading, enumerate_complete_sequences(n)
+            )
+            return BasisInstances(instances, False)
+        if st.kind == INTEGERS:
+            supp = sorted(grading.support())
+            inner12 = [(_commutator(Var(0, 1), Var(0, 2)), {})]
+            inner13 = [
+                (_reversal(Var(g, 1), Var(-g, 2), Var(g, 3)), {"g": str(g)})
+                for g in supp
+                if g != 0
+            ]
+            inner14 = [
+                (Polynomial.from_var(Var(h, 1)), {"h": str(h)})
+                for h in (n, -n, n + 1, -(n + 1))
+            ]
+            instances = reference_flank_family("(12)", grading, inner12, supp, 4)
+            instances += reference_flank_family("(13)", grading, inner13, supp, 4)
+            instances += reference_flank_family("(14)", grading, inner14, supp, 4)
+            # residue-complete lifts with a nonzero integer sum end every row
+            # walk off its start by a multiple of n, so they are identities.
+            # A sum-zero lift is properly central exactly when its partial
+            # sums 0, s_1, ..., s_(n-1) span at most n - 1, so that some row
+            # walk survives it; every rotation shifts those sums by a
+            # constant, so the span decides the whole symmetrization
+            window = range(-(n - 1), n)
+            sequences = [
+                seq
+                for seq in itertools.product(window, repeat=n)
+                if sum(seq) == 0
+                and is_complete_sequence(n, [g % n for g in seq])
+                and _partial_sum_span(seq) <= n - 1
+            ]
+            instances += _symmetrization_family("(15)", grading, sequences)
+            return BasisInstances(instances, False)
+        raise BasesError(
+            "central families are available for prime residue gradings and the "
+            "canonical integer grading only"
+        )
+    raise BasesError(f"unknown basis kind {kind!r}")
+
+
+def reference_verify_instance(inst: GeneratorInstance, grading: ElementaryGrading) -> bool:
+    value = evaluate(inst.poly, grading)
+    if REFERENCE_EXPECTATIONS[inst.family] != EXPECT_PROPER_CENTRAL:
+        return value.is_zero
+    _require_zero_constant(inst.poly)
+    return value.is_scalar and not value.is_zero
+
+
+def _listing(basis: BasisInstances, grading: ElementaryGrading):
+    return [
+        (inst.family, format_polynomial(inst.poly, grading), inst.params)
+        for inst in basis.instances
+    ]
+
+
+def _assert_same_basis(grading: ElementaryGrading, kind: str, cutoff: Optional[int]):
+    expected = reference_build_basis(grading, kind, cutoff)
+    actual = build_basis(grading, kind, cutoff)
+    assert _listing(actual, grading) == _listing(expected, grading)
+    assert actual.truncated == expected.truncated
+    verdicts = [verify_instance(inst, grading) for inst in actual.instances]
+    assert verdicts == [reference_verify_instance(inst, grading) for inst in expected.instances]
+    return expected
+
+
+@pytest.mark.parametrize("spec", ["zp:2", "zp:3", "zp:5", "z:2", "z:3", "z:4", "z:5"])
+def test_central_families_match_reference(spec):
+    expected = _assert_same_basis(parse_grading_spec(spec), "central", None)
+    assert {inst.family for inst in expected.instances} & {"(10)", "(11)", "(15)"}
+
+
+IDENTITY_SPECS = [
+    "zn:2", "zn:3", "zn:4", "zn:5", "z:2", "z:3", "z:4", "z:5", "mu:2", "mu:3", "mu:4",
+]
+
+
+@pytest.mark.parametrize("cutoff", [None, 3, 5])
+@pytest.mark.parametrize("spec", IDENTITY_SPECS)
+def test_identity_families_match_reference(spec, cutoff):
+    _assert_same_basis(parse_grading_spec(spec), "identities", cutoff)
+
+
+@pytest.mark.parametrize("cutoff", [None, 3, 5])
+def test_table_group_families_match_reference(cutoff, s3_grading, klein_file):
+    # S3 on three rows and the Klein group on three rows have a nonempty
+    # family (4); the Klein group on two rows has an empty one and a family (3)
+    gradings = [
+        s3_grading,
+        parse_grading_spec(f"group:{klein_file}:e,a,b"),
+        parse_grading_spec(f"group:{klein_file}:e,a"),
+    ]
+    for grading in gradings:
+        expected = _assert_same_basis(grading, "identities", cutoff)
+        families = {inst.family for inst in expected.instances}
+        assert expected.truncated and families & {"(3)", "(4)"}
+
+
+# (item, passed, detail) of the four family batteries at seed 0, recorded from
+# the construction above.  These batteries do not read the seed.
+GOLDEN_FAMILY_ITEMS = {
+    battery_generator_identities: [
+        ("zn:2/(1)", True, "1/1 instances"),
+        ("zn:2/(2)", True, "1/1 instances"),
+        ("zn:3/(1)", True, "1/1 instances"),
+        ("zn:3/(2)", True, "2/2 instances"),
+        ("zn:4/(1)", True, "1/1 instances"),
+        ("zn:4/(2)", True, "3/3 instances"),
+        ("z:2/(1)", True, "1/1 instances"),
+        ("z:2/(2)", True, "4/4 instances"),
+        ("z:2/(3)", True, "4/4 instances"),
+        ("z:3/(1)", True, "1/1 instances"),
+        ("z:3/(2)", True, "6/6 instances"),
+        ("z:3/(3)", True, "4/4 instances"),
+        ("z:4/(1)", True, "1/1 instances"),
+        ("z:4/(2)", True, "8/8 instances"),
+        ("z:4/(3)", True, "4/4 instances"),
+        ("mu:2/(5)", True, "4/4 instances"),
+        ("mu:2/(6)", True, "2/2 instances"),
+        ("mu:2/(7)", True, "1/1 instances"),
+        ("mu:3/(5)", True, "9/9 instances"),
+        ("mu:3/(6)", True, "6/6 instances"),
+        ("mu:3/(7)", True, "1/1 instances"),
+    ],
+    battery_central_residue: [
+        ("zp:2/(8)", True, "5/5 instances"),
+        ("zp:2/(9)", True, "5/5 instances"),
+        ("zp:2/(10)", True, "2/2 instances"),
+        ("zp:2/(11)", True, "1/1 instances"),
+        ("zp:3/(8)", True, "10/10 instances"),
+        ("zp:3/(9)", True, "20/20 instances"),
+        ("zp:3/(10)", True, "4/4 instances"),
+        ("zp:3/(11)", True, "2/2 instances"),
+        ("zp:5/(8)", True, "26/26 instances"),
+        ("zp:5/(9)", True, "104/104 instances"),
+        ("zp:5/(10)", True, "64/64 instances"),
+        ("zp:5/(11)", True, "24/24 instances"),
+        ("zp:3/power-collection-congruence", True, "(x1 x2)^3 - x2^3 x1^3"),
+    ],
+    battery_central_integer: [
+        ("z:2/(12)", True, "10/10 instances"),
+        ("z:2/(13)", True, "20/20 instances"),
+        ("z:2/(14)", True, "40/40 instances"),
+        ("z:2/(15)", True, "2/2 instances"),
+        ("z:3/(12)", True, "26/26 instances"),
+        ("z:3/(13)", True, "104/104 instances"),
+        ("z:3/(14)", True, "104/104 instances"),
+        ("z:3/(15)", True, "6/6 instances"),
+    ],
+    battery_positional_basis: [
+        ("mu:2/families", True, "7/7 instances"),
+        ("mu:3/families", True, "16/16 instances"),
+        ("mu:2/monomial-identities", True, "56 identities, degree <= 3"),
+    ],
+}
+
+
+@pytest.mark.parametrize("battery", list(GOLDEN_FAMILY_ITEMS), ids=lambda b: b.__name__)
+def test_family_battery_items_are_pinned(battery):
+    items = [(it.item, it.passed, it.detail) for it in battery(0)]
+    assert items == GOLDEN_FAMILY_ITEMS[battery]

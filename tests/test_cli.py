@@ -1,6 +1,7 @@
 """Command-line interface: verdicts, exit codes, and report stability."""
 
 import json
+import time
 import tracemalloc
 
 from gradedpi import MAX_MATRIX_SIZE, MAX_TERM_DEGREE
@@ -279,3 +280,28 @@ class TestResourceCaps:
             assert "exceeds the limit" in err, spec
         code, _, _ = run(capsys, "check-identity", "--grading", "zn:128", "--poly", "x[0,1]")
         assert code == 1
+
+    def test_monomial_scan_cap(self, capsys, cayley_file):
+        klein = f"group:{cayley_file}:e,a,b"  # support of 4 grades on M_3
+        for argv, message in (
+            (["enumerate", "--grading", "z:16", "--max-degree", "8"], "exceeds the limit"),
+            (["enumerate", "--grading", "zn:64"], "exceeds the limit"),
+            (["basis", "--grading", klein, "--cutoff", "30"], "exceeds the limit"),
+            (["enumerate", "--grading", "zn:3", "--max-degree", "-2"], "non-negative"),
+            (["basis", "--grading", klein, "--cutoff", "-1"], "non-negative"),
+        ):
+            start = time.perf_counter()
+            err = self._refused(capsys, argv)
+            assert time.perf_counter() - start < 1.0, argv
+            assert message in err, argv
+        # 2 + 4 + ... + 512 = 1022 tuples, under the cap; the degree alone
+        # is no longer bounded
+        code, out, _ = run(capsys, "enumerate", "--grading", "zn:2", "--max-degree", "9")
+        assert code == 0
+        assert out == "0 monomial identities up to degree 9\n"
+
+    def test_complete_sequence_length_cap(self, capsys):
+        code, out, err = run(capsys, "basis", "--grading", "zp:7", "--kind", "central")
+        assert code == 2
+        assert out == ""
+        assert err == "error: refusing to enumerate 7**7 sequences (bound 6)\n"
