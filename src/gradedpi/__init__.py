@@ -73,7 +73,7 @@ from .rewrite import (
 from .bases import (
     BasisInstances,
     GeneratorInstance,
-    MAX_SCAN_TUPLES,
+    MAX_SCAN_STEPS,
     basis_report,
     build_basis,
     cyclic_symmetrization,

@@ -35,11 +35,13 @@ from .grading import (
 from .freealg import Monomial, Polynomial, Var, classify, format_polynomial, twin_block_threshold
 from .genericmodel import _require_zero_constant, evaluate, is_identity
 
-#: largest number of degree tuples, the sum of |support|^d over d <= D, that
-#: one monomial-identity scan may walk (``enumerate_monomial_identities`` up
-#: to its degree bound, family (4) up to its cutoff).  The count is checked
-#: before the scan starts, so a larger scan is refused, not run.
-MAX_SCAN_TUPLES = 100_000
+#: largest number of row steps that one monomial-identity scan may take
+#: (``enumerate_monomial_identities`` up to its degree bound, family (4) up
+#: to its cutoff).  The scan walks every degree tuple of length d <= D over
+#: the support from each of the n rows, so it takes at most
+#: n * sum(d * |support|^d) steps.  That count is checked before the scan
+#: starts, so a larger scan is refused, not run.
+MAX_SCAN_STEPS = 500_000
 
 #: the families whose instances are central but not identities.  Every other
 #: family is checked to vanish, the central families (8), (9) and (12)-(14)
@@ -91,19 +93,19 @@ def _dead_monomials(grading: ElementaryGrading, max_degree: int) -> Iterator[Mon
     """Canonical monomials of the degree tuples over the support, of degree
     1 to ``max_degree``, that no row walk survives.
 
-    Refuses a negative bound, and a scan of more than ``MAX_SCAN_TUPLES``
-    tuples, before any tuple is walked.
+    Refuses a negative bound, and a scan of more than ``MAX_SCAN_STEPS`` row
+    steps, before any tuple is walked.
     """
     if max_degree < 0:
         raise BasesError(f"degree bound must be non-negative, got {max_degree}")
-    supp = sorted(grading.support())
-    tuples = 0
+    n, supp = grading.n, sorted(grading.support())
+    steps = 0
     for d in range(1, max_degree + 1):
-        tuples += len(supp) ** d
-        if tuples > MAX_SCAN_TUPLES:
+        steps += n * d * len(supp) ** d
+        if steps > MAX_SCAN_STEPS:
             raise BasesError(
                 f"scanning degree tuples up to degree {max_degree} over {len(supp)} "
-                f"support grades exceeds the limit of {MAX_SCAN_TUPLES} tuples"
+                f"support grades on {n} rows exceeds the limit of {MAX_SCAN_STEPS} row steps"
             )
     return (
         canonical_monomial(hs)
@@ -119,7 +121,7 @@ def enumerate_monomial_identities(grading: ElementaryGrading, max_degree: int) -
     One canonical representative is produced per degree tuple over the
     support; a tuple with a grade outside the support is an identity for the
     trivial reason and is not enumerated.  The scan is capped at
-    ``MAX_SCAN_TUPLES`` degree tuples.
+    ``MAX_SCAN_STEPS`` row steps.
     """
     return list(_dead_monomials(grading, max_degree))
 
@@ -390,7 +392,7 @@ def build_basis(
     ``kind`` is "identities" or "central".  ``cutoff`` caps the enumeration
     degree of family (4); the result is flagged truncated when the cap is
     below the full enumeration threshold.  A negative cutoff, or one whose
-    scan would walk more than ``MAX_SCAN_TUPLES`` degree tuples, is refused.
+    scan would take more than ``MAX_SCAN_STEPS`` row steps, is refused.
     Families with infinitely many instances over the integer grading ((2),
     (3), (14)) are emitted for a finite representative set of grades.
     """

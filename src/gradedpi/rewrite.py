@@ -216,7 +216,10 @@ def _rearrangement_steps(grading, base, k1, k2, k3, cur):
     if la == 0:
         return [Step(swap_rule, (off + 1, off + lb, off + lb + lc))]
     deg_a = cur.window(off + 1, off + la).degree(grading)
-    neutral_a = _is_diagonal(deg_a) if swap_rule == MU_SWAP else deg_a == grading.structure.identity
+    if grading.structure.kind == MATRIX_UNITS:
+        neutral_a = _is_diagonal(deg_a)
+    else:
+        neutral_a = deg_a == grading.structure.identity
     if neutral_a:
         return [
             Step(swap_rule, (off + la + 1, off + la + lb, off + la + lb + lc)),

@@ -10,6 +10,7 @@ from gradedpi.grading import is_complete_sequence, parse_grading_spec
 from gradedpi.freealg import Monomial, Polynomial, Var, apply_substitution
 from gradedpi.genericmodel import is_central, is_identity, matrix_unit_oracle
 from gradedpi.bases import (
+    MAX_SCAN_STEPS,
     BasesError,
     basis_report,
     build_basis,
@@ -62,6 +63,20 @@ class TestEnumeration:
     def test_degree_limit(self):
         with pytest.raises(BasesError):
             enumerate_monomial_identities(ZN2, 40)
+
+    def test_scan_cap_counts_row_steps(self):
+        # z:1 has one row and one support grade, so degree D costs
+        # 1 + 2 + ... + D row steps however few its tuples are
+        z1 = parse_grading_spec("z:1")
+        top = max(d for d in range(2000) if d * (d + 1) // 2 <= MAX_SCAN_STEPS)
+        assert enumerate_monomial_identities(z1, top) == []
+        with pytest.raises(BasesError, match="exceeds the limit"):
+            enumerate_monomial_identities(z1, top + 1)
+        # 4160 tuples on zn:64 up to degree 2, each walked from 64 rows
+        zn64 = parse_grading_spec("zn:64")
+        assert 64 * (64 + 2 * 64**2) > MAX_SCAN_STEPS
+        with pytest.raises(BasesError, match="on 64 rows exceeds the limit"):
+            enumerate_monomial_identities(zn64, 2)
 
 
 class TestBuildBasis:

@@ -286,6 +286,8 @@ class TestResourceCaps:
         for argv, message in (
             (["enumerate", "--grading", "z:16", "--max-degree", "8"], "exceeds the limit"),
             (["enumerate", "--grading", "zn:64"], "exceeds the limit"),
+            # one support grade: few tuples, but 5e9 row steps
+            (["enumerate", "--grading", "z:1", "--max-degree", "100000"], "exceeds the limit"),
             (["basis", "--grading", klein, "--cutoff", "30"], "exceeds the limit"),
             (["enumerate", "--grading", "zn:3", "--max-degree", "-2"], "non-negative"),
             (["basis", "--grading", klein, "--cutoff", "-1"], "non-negative"),
@@ -294,8 +296,8 @@ class TestResourceCaps:
             err = self._refused(capsys, argv)
             assert time.perf_counter() - start < 1.0, argv
             assert message in err, argv
-        # 2 + 4 + ... + 512 = 1022 tuples, under the cap; the degree alone
-        # is no longer bounded
+        # 2 * (1*2 + 2*4 + ... + 9*512) = 16388 row steps, under the cap;
+        # the degree alone is no longer bounded
         code, out, _ = run(capsys, "enumerate", "--grading", "zn:2", "--max-degree", "9")
         assert code == 0
         assert out == "0 monomial identities up to degree 9\n"
