@@ -26,6 +26,7 @@ from .grading import (
     parse_grading_spec,
 )
 from .freealg import (
+    MAX_INPUT_ROW_STEPS,
     MAX_TERM_DEGREE,
     Monomial,
     MonomialClass,

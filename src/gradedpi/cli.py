@@ -142,15 +142,14 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.suite != "all" and args.suite not in SUITES:
+        raise UsageError(f"unknown suite {args.suite!r}; known: {', '.join(sorted(SUITES))}")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     overall = True
     payload = {"command": "verify", "seed": args.seed, "suites": []}
     lines = []
     for name in names:
-        try:
-            items = run_suite(name, args.seed)
-        except KeyError as exc:
-            raise UsageError(str(exc))
+        items = run_suite(name, args.seed)
         passed = all_passed(items)
         overall = overall and passed
         payload["suites"].append(

@@ -15,13 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
 
-from .grading import (
-    ElementaryGrading,
-    Grade,
-    GradingError,
-    MATRIX_UNITS,
-    MU_ZERO,
-)
+from .grading import ElementaryGrading, Grade, GradingError
 
 
 class Var(NamedTuple):
@@ -298,19 +292,15 @@ def twin_block_threshold(support_size: int) -> int:
     return (s + 1) * ((s + 1) * total + 1)
 
 
-def _mu_support_closed(m: Monomial, grading: ElementaryGrading) -> bool:
-    # Every position pair lies in the support, so only the absorbing zero
-    # can push a subword degree outside it.
-    st = grading.structure
-    grades = m.h
-    l = len(grades)
-    for a in range(l):
-        acc = grades[a]
-        if acc == MU_ZERO:
+def _support_closed(h, mul, supp) -> bool:
+    # running products of every subword, O(l^2) multiplications
+    for a in range(len(h)):
+        acc = h[a]
+        if acc not in supp:
             return False
-        for b in range(a + 1, l):
-            acc = st.mul(acc, grades[b])
-            if acc == MU_ZERO:
+        for b in range(a + 1, len(h)):
+            acc = mul(acc, h[b])
+            if acc not in supp:
                 return False
     return True
 
@@ -342,28 +332,18 @@ def classify(m: Monomial, grading: ElementaryGrading) -> MonomialClass:
     ``support_closed``: every nonempty contiguous subword has degree inside
     the support.  ``has_proper_neutral_subword``: some proper nonempty subword
     has neutral degree.  ``twin_blocks``: a witness of two disjoint equal
-    neutral blocks with a neutral gap, when one exists.
+    neutral blocks with a neutral gap, when one exists.  Without an identity
+    (the positional kind) there are no neutral subwords or blocks.
     """
-    l = len(m)
-    if grading.structure.kind == MATRIX_UNITS:
-        return MonomialClass(_mu_support_closed(m, grading), None, False)
     st = grading.structure
-    supp = grading.support()
     h = m.h
+    l = len(h)
+    support_closed = _support_closed(h, st.mul, grading.support())
+    if not st.has_identity:
+        return MonomialClass(support_closed, None, False)
     pref = [st.identity]
     for g in h:
         pref.append(st.mul(pref[-1], g))
-    inv = [st.inverse(p) for p in pref]
-
-    support_closed = True
-    for a in range(l + 1):
-        for b in range(a + 1, l + 1):
-            if st.mul(inv[a], pref[b]) not in supp:
-                support_closed = False
-                break
-        if not support_closed:
-            break
-
     positions: Dict[Grade, int] = {}
     dup_pairs = 0
     for p in pref:
@@ -385,6 +365,12 @@ def classify(m: Monomial, grading: ElementaryGrading) -> MonomialClass:
 #: refuses a huge exponent before anything is allocated.
 MAX_TERM_DEGREE = 4096
 
+#: largest evaluation work of one input: n (rows of the grading) times its
+#: letters over all terms, with ``x^k`` counting k.  Parsing keeps every
+#: letter and an evaluation keeps about 130 bytes per row and letter, so the
+#: parser refuses the factor that would pass the cap before expanding it.
+MAX_INPUT_ROW_STEPS = 2_000_000
+
 
 class PolynomialSyntaxError(ValueError):
     """Syntax error in polynomial text, with the 0-based offending position."""
@@ -399,6 +385,8 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.structure = grading.structure
+        self.rows = grading.n
+        self.letters = 0  # over all terms read so far
 
     def error(self, message: str, pos: Optional[int] = None):
         raise PolynomialSyntaxError(message, self.pos if pos is None else pos)
@@ -435,9 +423,9 @@ class _Parser:
 
     def parse_grade(self) -> Grade:
         start = self.pos
-        if self.peek() == "(":
-            if self.structure.kind != MATRIX_UNITS:
-                self.error("pair grades are only valid under a matrix-position grading")
+        try:
+            if self.peek() != "(":
+                return self.structure.grade_from_int(self.read_int())
             self.pos += 1
             self.skip_ws()
             i = self.read_nat()
@@ -447,13 +435,7 @@ class _Parser:
             j = self.read_nat()
             self.skip_ws()
             self.expect(")")
-            g = (i, j)
-            if not self.structure.contains(g):
-                self.error(f"position pair ({i},{j}) out of range", start)
-            return g
-        value = self.read_int()
-        try:
-            return self.structure.grade_from_int(value)
+            return self.structure.grade_from_pair(i, j)
         except GradingError as exc:
             self.error(str(exc), start)
 
@@ -498,6 +480,13 @@ class _Parser:
             var, exp = self.parse_factor()
             if len(factors) + exp > MAX_TERM_DEGREE:
                 self.error(f"term degree exceeds the limit {MAX_TERM_DEGREE}", start)
+            self.letters += exp
+            if self.rows * self.letters > MAX_INPUT_ROW_STEPS:
+                self.error(
+                    f"input of {self.letters} letters on {self.rows} rows exceeds "
+                    f"the limit of {MAX_INPUT_ROW_STEPS} row steps",
+                    start,
+                )
             factors.extend([var] * exp)
             self.skip_ws()
             if self.peek() == "*":

@@ -1,15 +1,19 @@
 """Grading structures and elementary gradings of square matrix algebras.
 
 An elementary grading assigns a degree to every matrix unit e_ij.  Degrees
-come from one of three structures: a finite group given by its Cayley table,
-the additive integers, or the semigroup of matrix positions with an absorbing
-zero.  For group kinds the degree of e_ij is g_i^{-1} g_j where (g_1, ..., g_n)
-is a tuple of pairwise distinct grades; for the positional kind it is the pair
-(i, j) itself.
+come from one of four structures: the residues modulo n (``CyclicGroup``), a
+finite group given by its Cayley table (``TableGroup``), the additive
+integers (``IntegerGroup``), or the semigroup of matrix positions with an
+absorbing zero (``MatrixUnitSemigroup``).  For group kinds the degree of e_ij
+is g_i^{-1} g_j where (g_1, ..., g_n) is a tuple of pairwise distinct grades;
+for the positional kind it is the pair (i, j) itself.  Either way the
+diagonal units carry exactly the degrees ``is_diagonal`` accepts, and e_ji
+carries ``transpose`` of the degree of e_ij.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -25,8 +29,8 @@ MATRIX_UNITS = "matrix-unit-semigroup"
 MU_ZERO: Grade = (0, 0)
 
 #: largest matrix size n a grading accepts.  A grading builds O(n^2) data
-#: (the support, and the Cayley table of a cyclic group) before any
-#: polynomial is read, so larger sizes are refused up front.
+#: (its support) before any polynomial is read, so larger sizes are refused
+#: up front.
 MAX_MATRIX_SIZE = 512
 
 #: longest complete sequence ``enumerate_complete_sequences`` lists.  It
@@ -50,50 +54,80 @@ def _is_prime(n: int) -> bool:
 
 
 class GradingStructure:
-    """The degree structure: a finite group, the integers, or matrix positions.
+    """The degree structure of an elementary grading: shared code and the
+    group defaults of the two predicates the rewrite rules read.
 
-    Finite-group grades are 0-based indices into the carrier, so they stay
-    cheap and hashable; names are kept for parsing and printing only.  Integer
-    grades are plain ints under addition.  Matrix-position grades are 1-based
-    (row, column) pairs, with ``MU_ZERO`` as the absorbing zero; this kind has
-    neither an identity element nor inverses and refuses to provide them.
+    ``is_diagonal(g)`` says whether matrix units of degree g sit on the
+    diagonal, and ``transpose(g)`` is the degree of the transposed units (None
+    when there is none).  For a group these are ``g == identity`` and the
+    inverse, because the row grades are distinct.  Subclasses supply the
+    arithmetic, membership and literal grades of their kind.
     """
 
-    def __init__(self, kind: str, *, names=None, table=None, size=None, cyclic=False):
-        self.kind = kind
-        self.is_cyclic = cyclic
-        if kind == FINITE_GROUP:
-            if not names:
-                raise GradingError("a finite group needs a non-empty carrier")
-            self.names = tuple(str(x) for x in names)
-            self.order = len(self.names)
-            if cyclic:
-                self.table = self._residue_table(table)
-                # residues by construction: 0 is the identity, -g the inverse
-                self._identity = 0
-                self._inverse = tuple((-g) % self.order for g in range(self.order))
-            else:
-                self.table = tuple(tuple(row) for row in table)
-                self._identity, self._inverse = self._check_group()
-        elif kind == INTEGERS:
-            pass
-        elif kind == MATRIX_UNITS:
-            if size is None or size < 1:
-                raise GradingError("matrix-unit semigroup needs a positive size")
-            self.size = size
-        else:
-            raise GradingError(f"unknown grading kind: {kind!r}")
+    kind: str  # the name ``ElementaryGrading.describe`` prints
+    is_cyclic = False
+    has_identity = True
 
-    # -- construction checks -------------------------------------------------
+    def product(self, grades: Iterable[Grade]) -> Grade:
+        """Ordered product of grades; the empty product is the identity.
 
-    def _residue_table(self, table):
-        """The addition table of the residues modulo the order.  A table
-        passed for a cyclic structure must be exactly that table."""
-        m = self.order
-        built = tuple(tuple((a + b) % m for b in range(m)) for a in range(m))
-        if table is not None and tuple(tuple(row) for row in table) != built:
-            raise GradingError("a cyclic structure needs the residue addition table")
-        return built
+        A structure without an identity refuses the empty product.
+        """
+        grades = tuple(grades)
+        if grades:
+            return functools.reduce(self.mul, grades)
+        if not self.has_identity:
+            raise GradingError("empty product is undefined without an identity")
+        return self.identity
+
+    def require(self, g: Grade) -> Grade:
+        if not self.contains(g):
+            raise GradingError(f"{g!r} is not a grade of this structure")
+        return g
+
+    def format_grade(self, g: Grade) -> str:
+        self.require(g)
+        return str(g)
+
+    def grade_from_pair(self, i: int, j: int) -> Grade:
+        raise GradingError("pair grades are only valid under a matrix-position grading")
+
+    def is_diagonal(self, g: Grade) -> bool:
+        return g == self.identity
+
+    def transpose(self, g: Grade) -> Optional[Grade]:
+        return self.inverse(g)
+
+    def check_row_grades(self, row_grades: Tuple[Grade, ...]) -> None:
+        """Refuse an inducing tuple the structure cannot grade with."""
+
+    def unit_degree(self, row_grades: Tuple[Grade, ...], i: int, j: int) -> Grade:
+        """Degree g_i^-1 g_j of the unit e_ij (1-based) under the row grades."""
+        return self.mul(self.inverse(row_grades[i - 1]), row_grades[j - 1])
+
+    def row_map(self, row_grades: Tuple[Grade, ...], h: Grade) -> Dict[int, int]:
+        """Row k to the column j with g_k h = g_j, for the rows that have one."""
+        row_of = {g: k for k, g in enumerate(row_grades, 1)}
+        cols = ((k, row_of.get(self.mul(g, h))) for k, g in enumerate(row_grades, 1))
+        return {k: j for k, j in cols if j is not None}
+
+
+class TableGroup(GradingStructure):
+    """A finite group given by a validated Cayley table.
+
+    Grades are 0-based indices into the carrier, so they stay cheap and
+    hashable; names are kept for error messages only.
+    """
+
+    kind = FINITE_GROUP
+
+    def __init__(self, names: Sequence[str], table: Sequence[Sequence[int]]):
+        if not names:
+            raise GradingError("a finite group needs a non-empty carrier")
+        self.names = tuple(str(x) for x in names)
+        self.order = len(self.names)
+        self.table = tuple(tuple(row) for row in table)
+        self.identity, self._inverse = self._check_group()
 
     def _check_group(self):
         m = self.order
@@ -128,61 +162,100 @@ class GradingStructure:
                 raise GradingError(f"element {self.names[g]!r} has no inverse")
         return identity, tuple(inverse)
 
-    # -- arithmetic -----------------------------------------------------------
+    def mul(self, a: Grade, b: Grade) -> Grade:
+        return self.table[a][b]
+
+    def inverse(self, g: Grade) -> Grade:
+        return self._inverse[g]
+
+    def contains(self, g: Grade) -> bool:
+        return isinstance(g, int) and 0 <= g < self.order
+
+    def elements(self) -> Tuple[Grade, ...]:
+        return tuple(range(self.order))
+
+    def grade_from_int(self, value: int) -> Grade:
+        """A literal is a carrier index."""
+        if 0 <= value < self.order:
+            return value
+        raise GradingError(f"grade index {value} outside the carrier")
+
+
+class CyclicGroup(TableGroup):
+    """The residues modulo n under addition: a finite group whose products
+    are computed, so it stores no table and needs no group check."""
+
+    is_cyclic = True
+    identity = 0
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise GradingError("cyclic group order must be positive")
+        self.order = n
 
     def mul(self, a: Grade, b: Grade) -> Grade:
-        if self.kind == FINITE_GROUP:
-            return self.table[a][b]
-        if self.kind == INTEGERS:
-            return a + b
+        return (a + b) % self.order
+
+    def inverse(self, g: Grade) -> Grade:
+        return -g % self.order
+
+    def grade_from_int(self, value: int) -> Grade:
+        """A literal reduces modulo the order."""
+        return value % self.order
+
+
+class IntegerGroup(GradingStructure):
+    """The additive integers; grades are plain ints."""
+
+    kind = INTEGERS
+    identity = 0
+
+    def mul(self, a: Grade, b: Grade) -> Grade:
+        return a + b
+
+    def inverse(self, g: Grade) -> Grade:
+        return -g
+
+    def contains(self, g: Grade) -> bool:
+        return isinstance(g, int)
+
+    def elements(self) -> Tuple[Grade, ...]:
+        raise GradingError("the integer grading has infinitely many grades")
+
+    def grade_from_int(self, value: int) -> Grade:
+        return value
+
+
+class MatrixUnitSemigroup(GradingStructure):
+    """The matrix positions of M_n: 1-based (row, column) pairs multiplied
+    like matrix units, with ``MU_ZERO`` as the absorbing zero.
+
+    There is neither an identity nor inverses.  The unit e_ij has degree
+    (i, j) itself, so a degree is diagonal when i = j and its transpose is
+    (j, i).
+    """
+
+    kind = MATRIX_UNITS
+    has_identity = False
+
+    def __init__(self, size: int):
+        if size < 1:
+            raise GradingError("matrix-unit semigroup needs a positive size")
+        self.size = size
+
+    @property
+    def identity(self) -> Grade:
+        raise GradingError("the matrix-position semigroup has no identity element")
+
+    def mul(self, a: Grade, b: Grade) -> Grade:
         if a == MU_ZERO or b == MU_ZERO:
             return MU_ZERO
         return (a[0], b[1]) if a[1] == b[0] else MU_ZERO
 
-    def product(self, grades: Iterable[Grade]) -> Grade:
-        """Ordered product of grades; the empty product is the identity.
-
-        The matrix-position kind has no identity, so an empty product there
-        is an error rather than a value.
-        """
-        it = iter(grades)
-        if self.kind == MATRIX_UNITS:
-            try:
-                acc = next(it)
-            except StopIteration:
-                raise GradingError("empty product is undefined without an identity")
-        else:
-            acc = self.identity
-        for g in it:
-            acc = self.mul(acc, g)
-        return acc
-
-    @property
-    def identity(self) -> Grade:
-        if self.kind == FINITE_GROUP:
-            return self._identity
-        if self.kind == INTEGERS:
-            return 0
-        raise GradingError("the matrix-position semigroup has no identity element")
-
     def inverse(self, g: Grade) -> Grade:
-        if self.kind == FINITE_GROUP:
-            return self._inverse[g]
-        if self.kind == INTEGERS:
-            return -g
         raise GradingError("the matrix-position semigroup has no inverses")
 
-    @property
-    def has_identity(self) -> bool:
-        return self.kind != MATRIX_UNITS
-
-    # -- membership and formatting ---------------------------------------------
-
     def contains(self, g: Grade) -> bool:
-        if self.kind == FINITE_GROUP:
-            return isinstance(g, int) and 0 <= g < self.order
-        if self.kind == INTEGERS:
-            return isinstance(g, int)
         if g == MU_ZERO:
             return True
         return (
@@ -191,77 +264,60 @@ class GradingStructure:
             and all(isinstance(x, int) and 1 <= x <= self.size for x in g)
         )
 
-    def require(self, g: Grade) -> Grade:
-        if not self.contains(g):
-            raise GradingError(f"{g!r} is not a grade of this structure")
-        return g
-
     def elements(self) -> Tuple[Grade, ...]:
-        """All grades, for the finite kinds only."""
-        if self.kind == FINITE_GROUP:
-            return tuple(range(self.order))
-        if self.kind == MATRIX_UNITS:
-            pairs = [
-                (i, j)
-                for i in range(1, self.size + 1)
-                for j in range(1, self.size + 1)
-            ]
-            return (MU_ZERO, *pairs)
-        raise GradingError("the integer grading has infinitely many grades")
+        pairs = [(i, j) for i in range(1, self.size + 1) for j in range(1, self.size + 1)]
+        return (MU_ZERO, *pairs)
 
     def grade_from_int(self, value: int) -> Grade:
-        """Map an integer literal to a grade, per the text grammar.
-
-        Cyclic groups reduce modulo the order, general finite groups treat the
-        value as a carrier index, the integer kind takes it verbatim, and the
-        matrix-position kind accepts only 0 (the absorbing zero).
-        """
-        if self.kind == INTEGERS:
-            return value
-        if self.kind == FINITE_GROUP:
-            if self.is_cyclic:
-                return value % self.order
-            if 0 <= value < self.order:
-                return value
-            raise GradingError(f"grade index {value} outside the carrier")
+        """Only the literal 0, the absorbing zero."""
         if value == 0:
             return MU_ZERO
         raise GradingError("matrix-position grades are pairs (i,j) or 0")
 
+    def grade_from_pair(self, i: int, j: int) -> Grade:
+        if not self.contains((i, j)):
+            raise GradingError(f"position pair ({i},{j}) out of range")
+        return (i, j)
+
     def format_grade(self, g: Grade) -> str:
         self.require(g)
-        if self.kind == MATRIX_UNITS:
-            return "0" if g == MU_ZERO else f"({g[0]},{g[1]})"
-        return str(g)
+        return "0" if g == MU_ZERO else f"({g[0]},{g[1]})"
 
-    def __repr__(self):
-        if self.kind == FINITE_GROUP:
-            return f"GradingStructure(finite-group, order={self.order})"
-        if self.kind == MATRIX_UNITS:
-            return f"GradingStructure(matrix-units, size={self.size})"
-        return "GradingStructure(integers)"
+    def is_diagonal(self, g: Grade) -> bool:
+        return g != MU_ZERO and g[0] == g[1]
+
+    def transpose(self, g: Grade) -> Optional[Grade]:
+        return None if g == MU_ZERO else (g[1], g[0])
+
+    def check_row_grades(self, row_grades: Tuple[Grade, ...]) -> None:
+        if row_grades != tuple((i, i) for i in range(1, self.size + 1)):
+            raise GradingError(
+                "the matrix-position grading is fixed: row grades must be "
+                "the diagonal positions (1,1), ..., (n,n)"
+            )
+
+    def unit_degree(self, row_grades: Tuple[Grade, ...], i: int, j: int) -> Grade:
+        return (i, j)
+
+    def row_map(self, row_grades: Tuple[Grade, ...], h: Grade) -> Dict[int, int]:
+        return {} if h == MU_ZERO else {h[0]: h[1]}
 
 
 def cyclic_group(n: int) -> GradingStructure:
-    """Additive group of residues modulo n, with the residues as indices.
-
-    The table is built by construction, so it needs no O(n^3) group check.
-    """
-    if n < 1:
-        raise GradingError("cyclic group order must be positive")
-    return GradingStructure(FINITE_GROUP, names=[str(i) for i in range(n)], cyclic=True)
+    """Additive group of residues modulo n, with the residues as indices."""
+    return CyclicGroup(n)
 
 
 def integers() -> GradingStructure:
-    return GradingStructure(INTEGERS)
+    return IntegerGroup()
 
 
 def matrix_unit_semigroup(n: int) -> GradingStructure:
-    return GradingStructure(MATRIX_UNITS, size=n)
+    return MatrixUnitSemigroup(n)
 
 
 def group_from_table(names: Sequence[str], table: Sequence[Sequence[int]]) -> GradingStructure:
-    return GradingStructure(FINITE_GROUP, names=names, table=table)
+    return TableGroup(names, table)
 
 
 @dataclass(frozen=True)
@@ -325,13 +381,7 @@ class ElementaryGrading:
             structure.require(g)
         if len(set(row_grades)) != len(row_grades):
             raise GradingError("the inducing tuple must have pairwise distinct entries")
-        if structure.kind == MATRIX_UNITS:
-            expected = tuple((i, i) for i in range(1, structure.size + 1))
-            if row_grades != expected:
-                raise GradingError(
-                    "the matrix-position grading is fixed: row grades must be "
-                    "the diagonal positions (1,1), ..., (n,n)"
-                )
+        structure.check_row_grades(row_grades)
         self.structure = structure
         self.row_grades = row_grades
         self.n = len(row_grades)
@@ -339,12 +389,8 @@ class ElementaryGrading:
         # row map per grade, filled on first use; it lives and dies with this
         # grading, which never changes after construction
         self._targets: Dict[Grade, Dict[int, int]] = {}
-        if structure.kind != MATRIX_UNITS:
-            self._row_of_grade = {g: i + 1 for i, g in enumerate(row_grades)}
-        else:
-            self._row_of_grade = {}
         self._support = frozenset(
-            self.unit_degree(i, j)
+            structure.unit_degree(row_grades, i, j)
             for i in range(1, self.n + 1)
             for j in range(1, self.n + 1)
         )
@@ -353,10 +399,7 @@ class ElementaryGrading:
         """Degree of the matrix unit at row i, column j (both 1-based)."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise GradingError(f"matrix unit position ({i},{j}) out of range")
-        if self.structure.kind == MATRIX_UNITS:
-            return (i, j)
-        st = self.structure
-        return st.mul(st.inverse(self.row_grades[i - 1]), self.row_grades[j - 1])
+        return self.structure.unit_degree(self.row_grades, i, j)
 
     def support(self) -> frozenset:
         """All degrees carried by some matrix unit."""
@@ -376,20 +419,9 @@ class ElementaryGrading:
         forces.  Computed once per grade and cached on this grading; hot
         loops read the dict itself, so callers must not change it."""
         target = self._targets.get(h)
-        if target is not None:
-            return target
-        self.structure.require(h)
-        target = {}
-        if self.structure.kind == MATRIX_UNITS:
-            if h != MU_ZERO and 1 <= h[0] <= self.n and 1 <= h[1] <= self.n:
-                target[h[0]] = h[1]
-        else:
-            mul = self.structure.mul
-            for k in range(1, self.n + 1):
-                j = self._row_of_grade.get(mul(self.row_grades[k - 1], h))
-                if j is not None:
-                    target[k] = j
-        self._targets[h] = target
+        if target is None:
+            self.structure.require(h)
+            target = self._targets[h] = self.structure.row_map(self.row_grades, h)
         return target
 
     def row_walk(self, hs: Sequence[Grade]) -> RowWalk:
@@ -502,11 +534,11 @@ def _parse_cayley_file(path: str):
     m = len(names)
     if len(set(names)) != m:
         raise GradingError("duplicate element names in Cayley table header")
-    if len(lines) < m + 1:
+    if len(lines) != m + 1:
         raise GradingError(f"Cayley table needs {m} product rows, found {len(lines) - 1}")
     index = {name: i for i, name in enumerate(names)}
     table = []
-    for r, line in enumerate(lines[1 : m + 1], start=1):
+    for r, line in enumerate(lines[1:], start=1):
         entries = line.split()
         if len(entries) != m:
             raise GradingError(f"Cayley table row {r} has {len(entries)} entries, expected {m}")

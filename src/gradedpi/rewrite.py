@@ -3,15 +3,21 @@
 Two monomials with equal generic evaluations at some shared nonzero entry are
 congruent modulo the commutation rules, and the congruence is witnessed by an
 explicit chain of rule applications.  Rules act on contiguous blocks (images
-of the generator variables under graded substitution):
+of the generator variables under graded substitution) and come in three
+shapes, read through the structure's ``is_diagonal`` and ``transpose``:
 
-* ``commute-e``           swap two adjacent blocks of neutral degree,
-* ``reverse-conjugate``   a b c -> c b a when deg(a) = deg(c) = deg(b)^-1 != e,
-* ``kill-empty-support``  a variable whose degree has no admissible row
-                          annihilates the monomial,
-* ``mu-commute`` / ``mu-reverse`` / ``mu-zero``
-                          the positional-grading counterparts (diagonal-degree
-                          swap, off-diagonal reversal, zero-degree kill).
+* swap      a b -> b a when deg(a) and deg(b) are both diagonal degrees,
+* reversal  a b c -> c b a when deg(a) = deg(c) is not diagonal and deg(b)
+            is its transpose,
+* kill      a variable whose degree has no admissible row annihilates the
+            monomial.
+
+Group gradings name them ``commute-e``, ``reverse-conjugate`` and
+``kill-empty-support``: the diagonal degree is the neutral element e, the
+transpose is the inverse, so the reversal reads deg(a) = deg(c) = deg(b)^-1
+!= e.  The positional grading names them ``mu-commute``, ``mu-reverse`` and
+``mu-zero``: the diagonal degrees are the pairs (i, i), the transpose of
+(i, j) is (j, i), and only the zero degree has no admissible row.
 
 Windows are tuples of 1-based inclusive boundary positions: a swap window
 (p, q, r) means blocks [p..q] and [q+1..r]; a reversal window (p, q, r, s)
@@ -24,7 +30,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .grading import ElementaryGrading, MATRIX_UNITS, MU_ZERO, _walk_from
+from .grading import ElementaryGrading, MATRIX_UNITS, _walk_from
 from .freealg import Monomial, classify, format_monomial, parse_monomial
 
 SWAP_NEUTRAL = "commute-e"
@@ -33,9 +39,6 @@ KILL_EMPTY_SUPPORT = "kill-empty-support"
 MU_SWAP = "mu-commute"
 MU_REVERSE = "mu-reverse"
 MU_KILL = "mu-zero"
-
-_GROUP_RULES = {SWAP_NEUTRAL, REVERSE_CONJUGATE, KILL_EMPTY_SUPPORT}
-_MU_RULES = {MU_SWAP, MU_REVERSE, MU_KILL}
 
 
 class RuleError(ValueError):
@@ -57,29 +60,25 @@ class CongruenceProof:
     steps: Tuple[Step, ...]
 
 
-def _check_rule_kind(rule: str, grading: ElementaryGrading):
-    is_mu = grading.structure.kind == MATRIX_UNITS
-    if rule in _MU_RULES and not is_mu:
-        raise RuleError(f"rule {rule!r} needs a matrix-position grading")
-    if rule in _GROUP_RULES and is_mu:
-        raise RuleError(f"rule {rule!r} needs a group-kind grading")
-    if rule not in _GROUP_RULES | _MU_RULES:
-        raise RuleError(f"unknown rule {rule!r}")
+def _rule_names(grading: ElementaryGrading) -> Tuple[str, str, str]:
+    """The swap, reversal and kill rule names of the grading's kind."""
+    if grading.structure.kind == MATRIX_UNITS:
+        return MU_SWAP, MU_REVERSE, MU_KILL
+    return SWAP_NEUTRAL, REVERSE_CONJUGATE, KILL_EMPTY_SUPPORT
 
 
 def _block_degree(m: Monomial, grading: ElementaryGrading, a: int, b: int):
     return m.window(a, b).degree(grading)
 
 
-def _is_diagonal(grade) -> bool:
-    return grade != MU_ZERO and grade[0] == grade[1]
-
-
 def apply_rule(m: Monomial, rule: str, window: Tuple[int, ...], grading: ElementaryGrading) -> Optional[Monomial]:
     """Apply one rule at a window; returns the new monomial, or None for a kill."""
-    _check_rule_kind(rule, grading)
+    swap, reverse, kill = _rule_names(grading)
+    if rule not in (swap, reverse, kill):
+        raise RuleError(f"rule {rule!r} is unknown to this grading; its rules are {swap}, {reverse}, {kill}")
+    st = grading.structure
     l = len(m)
-    if rule in (SWAP_NEUTRAL, MU_SWAP):
+    if rule == swap:
         if len(window) != 3:
             raise RuleError("swap rules take a window (p, q, r)")
         p, q, r = window
@@ -87,17 +86,12 @@ def apply_rule(m: Monomial, rule: str, window: Tuple[int, ...], grading: Element
             raise RuleError(f"bad swap window {window} for length {l}")
         da = _block_degree(m, grading, p, q)
         db = _block_degree(m, grading, q + 1, r)
-        if rule == SWAP_NEUTRAL:
-            e = grading.structure.identity
-            if da != e or db != e:
-                raise RuleError("commute-e needs two adjacent neutral blocks")
-        else:
-            if not (_is_diagonal(da) and _is_diagonal(db)):
-                raise RuleError("mu-commute needs two adjacent diagonal-degree blocks")
+        if not (st.is_diagonal(da) and st.is_diagonal(db)):
+            raise RuleError(f"{rule} needs two adjacent blocks of diagonal degree")
         a = m.vars[p - 1 : q]
         b = m.vars[q : r]
         return Monomial(m.vars[: p - 1] + b + a + m.vars[r:])
-    if rule in (REVERSE_CONJUGATE, MU_REVERSE):
+    if rule == reverse:
         if len(window) != 4:
             raise RuleError("reversal rules take a window (p, q, r, s)")
         p, q, r, s = window
@@ -106,39 +100,21 @@ def apply_rule(m: Monomial, rule: str, window: Tuple[int, ...], grading: Element
         da = _block_degree(m, grading, p, q)
         db = _block_degree(m, grading, q + 1, r)
         dc = _block_degree(m, grading, r + 1, s)
-        if rule == REVERSE_CONJUGATE:
-            st = grading.structure
-            if da != dc or da == st.identity or db != st.inverse(da):
-                raise RuleError(
-                    "reverse-conjugate needs deg(a) = deg(c) = deg(b)^-1 != e"
-                )
-        else:
-            if (
-                da != dc
-                or da == MU_ZERO
-                or _is_diagonal(da)
-                or db != (da[1], da[0])
-            ):
-                raise RuleError(
-                    "mu-reverse needs off-diagonal deg(a) = deg(c) with deg(b) transposed"
-                )
+        if da != dc or st.is_diagonal(da) or db != st.transpose(da):
+            raise RuleError(
+                f"{rule} needs deg(a) = deg(c) off the diagonal and deg(b) its transpose"
+            )
         a = m.vars[p - 1 : q]
         b = m.vars[q : r]
         c = m.vars[r : s]
         return Monomial(m.vars[: p - 1] + c + b + a + m.vars[s:])
-    # kill rules
     if len(window) != 1:
         raise RuleError("kill rules take a window (p,)")
     (p,) = window
     if not (1 <= p <= l):
         raise RuleError(f"bad kill window {window} for length {l}")
-    grade = m.vars[p - 1].grade
-    if rule == KILL_EMPTY_SUPPORT:
-        if grading.degree_rows(grade).rows:
-            raise RuleError("kill-empty-support needs a degree with no admissible row")
-    else:
-        if grade != MU_ZERO:
-            raise RuleError("mu-zero applies only to zero-degree variables")
+    if grading.degree_rows(m.vars[p - 1].grade).rows:
+        raise RuleError(f"{rule} needs a degree with no admissible row")
     return None
 
 
@@ -196,31 +172,21 @@ def _block_kept(block, old_block, row: int, old_path, targets) -> bool:
     )
 
 
-def _swap_and_reverse_rules(grading: ElementaryGrading) -> Tuple[str, str]:
-    """The swap and reversal rule names of the grading's kind."""
-    if grading.structure.kind == MATRIX_UNITS:
-        return MU_SWAP, MU_REVERSE
-    return SWAP_NEUTRAL, REVERSE_CONJUGATE
-
-
 def _rearrangement_steps(grading, base, k1, k2, k3, cur):
     """Steps that bring the block [k2..k3] (suffix-relative) to the front.
 
     The three suffix blocks A = [1..k1-1], B = [k1..k2-1], C = [k2..k3] satisfy
-    deg(A) = deg(C) = deg(B)^-1.  When A is empty or neutral every block is
-    neutral and adjacent swaps suffice; otherwise one reversal does it.
+    deg(A) = deg(C) with deg(B) its transpose.  When A is empty or of diagonal
+    degree every block is, and adjacent swaps suffice; otherwise one reversal
+    does it.
     """
-    swap_rule, rev_rule = _swap_and_reverse_rules(grading)
+    swap_rule, rev_rule, _ = _rule_names(grading)
     la, lb, lc = k1 - 1, k2 - k1, k3 - k2 + 1
     off = base
     if la == 0:
         return [Step(swap_rule, (off + 1, off + lb, off + lb + lc))]
     deg_a = cur.window(off + 1, off + la).degree(grading)
-    if grading.structure.kind == MATRIX_UNITS:
-        neutral_a = _is_diagonal(deg_a)
-    else:
-        neutral_a = deg_a == grading.structure.identity
-    if neutral_a:
+    if grading.structure.is_diagonal(deg_a):
         return [
             Step(swap_rule, (off + la + 1, off + la + lb, off + la + lb + lc)),
             Step(swap_rule, (off + 1, off + la, off + la + lc)),

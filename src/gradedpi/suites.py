@@ -36,7 +36,7 @@ from .genericmodel import (
     naive_monomial_product,
     units_of_degree,
 )
-from .rewrite import _swap_and_reverse_rules, apply_rule, find_congruence, replay
+from .rewrite import _rule_names, apply_rule, find_congruence, replay
 from .bases import (
     basis_report,
     build_basis,
@@ -358,7 +358,7 @@ def battery_complete_sequences(seed: int = 0) -> List[ItemResult]:
 
 def _applicable_rewrites(m: Monomial, grading: ElementaryGrading):
     """All swap and reversal applications currently legal on a monomial."""
-    swap_rule, rev_rule = _swap_and_reverse_rules(grading)
+    swap_rule, rev_rule, _ = _rule_names(grading)
     l = len(m)
     found = []
     for p in range(1, l + 1):

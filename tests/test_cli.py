@@ -4,8 +4,19 @@ import json
 import time
 import tracemalloc
 
-from gradedpi import MAX_MATRIX_SIZE, MAX_TERM_DEGREE
+import pytest
+
+from gradedpi import (
+    MAX_INPUT_ROW_STEPS,
+    MAX_MATRIX_SIZE,
+    MAX_TERM_DEGREE,
+    PolynomialSyntaxError,
+    parse_grading_spec,
+    parse_monomial,
+    parse_polynomial,
+)
 from gradedpi.cli import main
+from gradedpi.suites import SUITES
 
 
 def run(capsys, *argv):
@@ -178,9 +189,11 @@ class TestBasisAndVerify:
         assert "suite complete-seq" in out
 
     def test_verify_unknown_suite(self, capsys):
-        code, _, err = run(capsys, "verify", "--suite", "nope")
+        code, out, err = run(capsys, "verify", "--suite", "nope")
         assert code == 2
-        assert "unknown suite" in err
+        assert out == ""
+        assert err.startswith("error: unknown suite 'nope'; known: central-z, ")
+        assert err.endswith(", vasilovsky-zn\n") and '"' not in err
 
     def test_verify_seeded_json_is_stable(self, capsys):
         a = run(capsys, "verify", "--suite", "complete-seq", "--seed", "7", "--format", "json")
@@ -222,6 +235,13 @@ class TestInternalErrors:
         assert code == 3
         assert err == "internal error: ValueError: bug in the library\n"
 
+    def test_library_key_error_in_a_battery_is_not_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setitem(SUITES, "complete-seq", self._raise(KeyError("lost grade")))
+        code, out, err = run(capsys, "verify", "--suite", "complete-seq")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: KeyError: 'lost grade'\n"
+
     def test_malformed_inputs_still_exit_2(self, capsys):
         cases = [
             ["check-identity", "--grading", "zn:3x", "--poly", "x[0,1]"],
@@ -238,6 +258,21 @@ class TestInternalErrors:
             assert code == 2, argv
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+    def test_cayley_rows_past_the_table_are_refused(self, capsys, tmp_path):
+        path = tmp_path / "z2.txt"
+        path.write_text("e a\ne a\na e\ne e\ngarbage row here\n")
+        code, out, err = run(
+            capsys, "check-identity", "--grading", f"group:{path}:e,a", "--poly", "x[1,1]"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: Cayley table needs 2 product rows, found 4\n"
+        path.write_text("e a\ne a\na e\n")
+        code, _, _ = run(
+            capsys, "check-identity", "--grading", f"group:{path}:e,a", "--poly", "x[1,1]"
+        )
+        assert code == 1
 
 
 class TestResourceCaps:
@@ -272,6 +307,36 @@ class TestResourceCaps:
             capsys, "check-identity", "--grading", "zn:3", "--poly", f"x[0,1]^{MAX_TERM_DEGREE}"
         )
         assert code == 1
+
+    def test_input_row_steps_cap(self, capsys):
+        # one long term on many rows: refused before its power expands
+        err = self._refused(capsys, ["check-identity", "--grading", "zn:512", "--poly", "x[0,1]^4096"])
+        assert "exceeds the limit of 2000000 row steps (at position 0)" in err
+        # many distinct terms, each under the term cap: refused at the term
+        # that passes the cap, with only the terms before it kept
+        terms = MAX_INPUT_ROW_STEPS // (3 * MAX_TERM_DEGREE) + 1
+        poly = " + ".join(f"x[0,{k}]^{MAX_TERM_DEGREE}" for k in range(1, terms + 50))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "check-identity", "--grading", "zn:3", "--poly", poly)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: input of {terms * MAX_TERM_DEGREE} letters on 3 rows exceeds")
+        assert poly.index(f"x[0,{terms}]^") == int(err.split("position ")[1].rstrip(")\n"))
+        assert peak < 16_000_000, peak
+        code, _, _ = run(
+            capsys, "check-identity", "--grading", "zn:3", "--poly", f"x[0,1]^{MAX_TERM_DEGREE}"
+        )
+        assert code == 1
+
+    def test_input_row_steps_boundary(self):
+        grading = parse_grading_spec("zn:500")
+        at_cap = MAX_INPUT_ROW_STEPS // 500
+        assert len(parse_monomial(f"x[0,1]^{at_cap}", grading)) == at_cap
+        with pytest.raises(PolynomialSyntaxError, match="row steps"):
+            parse_polynomial(f"x[0,1]^{at_cap} + x[0,2]", grading)
 
     def test_matrix_size_cap(self, capsys):
         # zp: is refused before its primality loop could run

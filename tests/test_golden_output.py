@@ -1,0 +1,51 @@
+"""Pinned CLI output: SHA-256 prefixes of reports that must stay byte-identical.
+
+The prefixes were recorded before the per-kind grading structures replaced
+the kind-string dispatch, so a refactor that changes a single byte of these
+reports fails here.  Paths of Cayley table files are replaced by ``<klein>``
+before hashing, since a fixture file lives in a fresh temporary directory.
+"""
+
+import hashlib
+
+import pytest
+
+from gradedpi.cli import main
+
+GOLDEN = {
+    ("verify", "text"): "ad616c76d988f2b6",
+    ("verify", "json"): "452ca3a05d8ca427",
+    ("basis zp:3 central", "text"): "675ffd632dfd5b0d",
+    ("basis zp:3 central", "json"): "d0944fa2e941df5e",
+    ("basis zp:5 central", "text"): "7c76cda57fce78c1",
+    ("basis zp:5 central", "json"): "c423947863f0ff9d",
+    ("basis z:3 central", "text"): "a5ff71761725b3c6",
+    ("basis z:3 central", "json"): "498260e3106bd37c",
+    ("basis z:4 central", "text"): "46a4652a431399fd",
+    ("basis z:4 central", "json"): "62c7f5b75f2e13f1",
+    ("basis zn:4 identities", "text"): "03f663ab68d03f60",
+    ("basis zn:4 identities", "json"): "583ce80b4e37c1c0",
+    ("basis z:3 identities", "text"): "a7ddd852ed217423",
+    ("basis z:3 identities", "json"): "5a829c9a0470192e",
+    ("basis mu:3 identities", "text"): "be2251b3377ae45c",
+    ("basis mu:3 identities", "json"): "a0b8fa77a1881170",
+    ("basis klein identities", "text"): "85fd4d2cd997f1cc",
+    ("basis klein identities", "json"): "1129b493551169f5",
+}
+
+
+def _argv(case, fmt, klein_spec):
+    if case == "verify":
+        return ["verify", "--suite", "all", "--seed", "0", "--format", fmt]
+    _, spec, kind = case.split()
+    spec = klein_spec if spec == "klein" else spec
+    return ["basis", "--grading", spec, "--kind", kind, "--format", fmt]
+
+
+@pytest.mark.parametrize("case, fmt", sorted(GOLDEN), ids=lambda x: str(x))
+def test_output_digest(case, fmt, capsys, klein_file):
+    klein_spec = f"group:{klein_file}:e,a,b"
+    assert main(_argv(case, fmt, klein_spec)) == 0
+    out = capsys.readouterr().out.replace(klein_file, "<klein>")
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()[:16]
+    assert digest == GOLDEN[case, fmt]

@@ -6,9 +6,7 @@ import pytest
 
 from gradedpi.grading import (
     ElementaryGrading,
-    FINITE_GROUP,
     GradingError,
-    GradingStructure,
     MU_ZERO,
     complete_sequence_unit_witness,
     cyclic_group,
@@ -51,11 +49,6 @@ class TestStructures:
                 assert built.inverse(a) == checked.inverse(a)
                 for b in range(n):
                     assert built.mul(a, b) == checked.mul(a, b)
-
-    def test_cyclic_structure_refuses_another_table(self):
-        klein = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
-        with pytest.raises(GradingError):
-            GradingStructure(FINITE_GROUP, names="eabc", table=klein, cyclic=True)
 
     def test_integers(self):
         st = integers()
