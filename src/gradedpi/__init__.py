@@ -13,7 +13,7 @@ from .grading import (
     ElementaryGrading,
     GradingError,
     GradingStructure,
-    MAX_COMPLETE_SEQUENCE_LENGTH,
+    MAX_COMPLETE_SEQUENCES,
     MAX_MATRIX_SIZE,
     MU_ZERO,
     complete_sequence_unit_witness,
@@ -39,10 +39,8 @@ from .freealg import (
     classify,
     format_monomial,
     format_polynomial,
-    multihomogeneous_components,
     parse_monomial,
     parse_polynomial,
-    strip_neutral,
     twin_block_threshold,
 )
 from .genericmodel import (
@@ -66,7 +64,6 @@ from .rewrite import (
     Step,
     apply_rule,
     find_congruence,
-    follows_from_kill,
     proof_from_json,
     proof_to_json,
     replay,

@@ -379,11 +379,6 @@ def _symmetrization_family(
     return out
 
 
-def _partial_sum_span(seq: Sequence[int]) -> int:
-    sums = [0, *itertools.accumulate(seq)]
-    return max(sums) - min(sums)
-
-
 def build_basis(
     grading: ElementaryGrading, kind: str, cutoff: Optional[int] = None
 ) -> BasisInstances:
@@ -394,7 +389,10 @@ def build_basis(
     below the full enumeration threshold.  A negative cutoff, or one whose
     scan would take more than ``MAX_SCAN_STEPS`` row steps, is refused.
     Families with infinitely many instances over the integer grading ((2),
-    (3), (14)) are emitted for a finite representative set of grades.
+    (3), (14)) are emitted for a finite representative set of grades.  The
+    central families first list their complete sequences, the (n-1)! of
+    family (11) or the n! lifts of family (15), so a grading with more than
+    ``MAX_COMPLETE_SEQUENCES`` of them is refused before any family is built.
     """
     if cutoff is not None and cutoff < 0:
         raise BasesError(f"cutoff must be non-negative, got {cutoff}")
@@ -442,17 +440,17 @@ def build_basis(
         raise BasesError(f"unsupported grading kind for identities: {st.kind}")
     if kind == "central":
         if st.is_cyclic and st.order == n and _is_prime(n):
+            sequences = enumerate_complete_sequences(n)
             grades = list(range(n))
             instances = _flank_family("(8)", grading, [_neutral_commutator(grading)], grades)
             instances += _flank_family(
                 "(9)", grading, _reversal_instances(grading, grades[1:]), grades
             )
             instances += _central_power_family(grading)
-            instances += _symmetrization_family(
-                "(11)", grading, enumerate_complete_sequences(n)
-            )
+            instances += _symmetrization_family("(11)", grading, sequences)
             return BasisInstances(instances, False)
         if st.kind == INTEGERS:
+            sequences = enumerate_complete_sequences(n, lift=True)
             supp = sorted(grading.support())
             instances = _flank_family("(12)", grading, [_neutral_commutator(grading)], supp)
             instances += _flank_family(
@@ -461,20 +459,6 @@ def build_basis(
             instances += _flank_family(
                 "(14)", grading, _kill_instances(grading, _integer_kill_grades(n)), supp
             )
-            # residue-complete lifts with a nonzero integer sum end every row
-            # walk off its start by a multiple of n, so they are identities.
-            # A sum-zero lift is properly central exactly when its partial
-            # sums 0, s_1, ..., s_(n-1) span at most n - 1, so that some row
-            # walk survives it; every rotation shifts those sums by a
-            # constant, so the span decides the whole symmetrization
-            window = range(-(n - 1), n)
-            sequences = [
-                seq
-                for seq in itertools.product(window, repeat=n)
-                if sum(seq) == 0
-                and is_complete_sequence(n, [g % n for g in seq])
-                and _partial_sum_span(seq) <= n - 1
-            ]
             instances += _symmetrization_family("(15)", grading, sequences)
             return BasisInstances(instances, False)
         raise BasesError(

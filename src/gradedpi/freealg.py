@@ -3,15 +3,13 @@
 Monomials are ordered tuples of graded variables; polynomials are finite
 integer combinations of monomials with the free (noncommutative) product.
 The module also houses the structural analysis used by the rewriting and
-basis machinery: windows, multihomogeneous splitting, neutral-variable
-stripping, graded substitution, the text grammar, and the classification of
-monomials by their subword degrees.
+basis machinery: windows, graded substitution, the text grammar, and the
+classification of monomials by their subword degrees.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
 
@@ -191,30 +189,6 @@ class Polynomial:
             elif d != degree:
                 raise GradingError("polynomial is not homogeneous")
         return degree
-
-
-def multihomogeneous_components(f: Polynomial):
-    """Split a polynomial by the variable multiset of its terms.
-
-    The components sum back to the input; each one is multihomogeneous.
-    Components are independent of each other, so identity and centrality
-    checks distribute over this partition.
-    """
-    buckets: Dict[frozenset, Dict[Monomial, int]] = {}
-    for m, c in f.terms.items():
-        key = frozenset(Counter(m.vars).items())
-        buckets.setdefault(key, {})[m] = c
-    comps = [Polynomial(t) for t in buckets.values()]
-    comps.sort(key=lambda p: p.monomials()[0].sort_key())
-    return comps
-
-
-def strip_neutral(m: Monomial, grading: ElementaryGrading) -> Monomial:
-    """Remove every variable of neutral degree; no-op without an identity."""
-    e = grading.neutral
-    if e is None:
-        return m
-    return Monomial(v for v in m.vars if v.grade != e)
 
 
 def apply_substitution(

@@ -14,7 +14,7 @@ carries ``transpose`` of the degree of e_ij.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
@@ -33,9 +33,11 @@ MU_ZERO: Grade = (0, 0)
 #: up front.
 MAX_MATRIX_SIZE = 512
 
-#: longest complete sequence ``enumerate_complete_sequences`` lists.  It
-#: filters all n**n residue sequences, so a longer one is refused.
-MAX_COMPLETE_SEQUENCE_LENGTH = 6
+#: most complete sequences ``enumerate_complete_sequences`` lists: the
+#: (n-1)! residue sequences up to n = 8, or the n! integer lifts up to n = 7.
+#: The count is known from n alone, so a longer list is refused before the
+#: search starts.
+MAX_COMPLETE_SEQUENCES = 5040
 
 
 class GradingError(ValueError):
@@ -487,18 +489,56 @@ def complete_sequence_unit_witness(n: int, seq: Sequence[int]) -> Optional[Tuple
     return tuple(units)
 
 
-def enumerate_complete_sequences(n: int) -> list:
-    """All complete length-n residue sequences in lexicographic order."""
-    if n > MAX_COMPLETE_SEQUENCE_LENGTH:
+def enumerate_complete_sequences(n: int, lift: bool = False) -> list:
+    """All complete length-n sequences, built from their partial sums.
+
+    A residue sequence x_1..x_n is complete exactly when its partial sums
+    s_1, ..., s_(n-1) are the nonzero residues in some order (s_n = 0 then
+    follows), so there are (n-1)! of them.
+
+    With ``lift`` the sequences are the integer lifts of family (15): steps
+    from (-n, n) that sum to 0 and reduce to a complete residue sequence.  A
+    lift with a nonzero integer sum ends every row walk off its start by a
+    multiple of n, so its symmetrization is an identity.  A sum-zero lift is
+    properly central exactly when its partial sums 0, s_1, ..., s_(n-1) span
+    at most n - 1, so that some row walk survives it; every rotation shifts
+    those sums by a constant, so the span decides the whole symmetrization.
+    n distinct integers spanning at most n - 1 fill a window of n
+    consecutive integers, one of n windows around 0, so there are n! lifts.
+
+    A depth-first search tries the steps in ascending order and extends a
+    prefix only with a step whose partial sum is new and keeps the span
+    below n.  Every such prefix completes, and the last step is forced, so
+    the search yields each sequence once, in lexicographic order, without
+    visiting a dead end.  More than ``MAX_COMPLETE_SEQUENCES`` sequences are
+    refused before it starts.
+    """
+    if math.factorial(n if lift else n - 1) > MAX_COMPLETE_SEQUENCES:
         raise GradingError(
-            f"refusing to enumerate {n}**{n} sequences "
-            f"(bound {MAX_COMPLETE_SEQUENCE_LENGTH})"
+            f"refusing to enumerate the complete sequences of length {n}: "
+            f"there are more than {MAX_COMPLETE_SEQUENCES}"
         )
-    return [
-        seq
-        for seq in itertools.product(range(n), repeat=n)
-        if is_complete_sequence(n, seq)
-    ]
+    steps = range(-(n - 1), n) if lift else range(n)
+    prefix: list = []
+    used = {0}
+    out = []
+
+    def extend(acc: int, lo: int, hi: int) -> None:
+        if len(prefix) == n - 1:
+            out.append((*prefix, -acc if lift else -acc % n))
+            return
+        for x in steps:
+            s = acc + x if lift else (acc + x) % n
+            if s in used or max(hi, s) - min(lo, s) >= n:
+                continue
+            prefix.append(x)
+            used.add(s)
+            extend(s, min(lo, s), max(hi, s))
+            used.discard(s)
+            prefix.pop()
+
+    extend(0, 0, 0)
+    return out
 
 
 # -- grading spec strings -------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .grading import ElementaryGrading, MATRIX_UNITS, _walk_from
-from .freealg import Monomial, classify, format_monomial, parse_monomial
+from .freealg import Monomial, format_monomial, parse_monomial
 
 SWAP_NEUTRAL = "commute-e"
 REVERSE_CONJUGATE = "reverse-conjugate"
@@ -273,20 +273,6 @@ def find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Opt
     if cur != n:
         raise RuntimeError("congruence construction ended on the wrong monomial")
     return CongruenceProof(m, n, tuple(steps))
-
-
-def follows_from_kill(m: Monomial, grading: ElementaryGrading) -> bool:
-    """Whether the monomial identity m is a consequence of the kill rule.
-
-    That happens exactly when some nonempty subword degree leaves the
-    support.  Requires m to actually be an identity.
-    """
-    from .genericmodel import is_identity
-    from .freealg import Polynomial
-
-    if not is_identity(Polynomial.from_monomial(m), grading):
-        raise RuleError("follows_from_kill expects a monomial identity")
-    return not classify(m, grading).support_closed
 
 
 def proof_to_json(proof: CongruenceProof, grading: ElementaryGrading) -> dict:

@@ -2,13 +2,17 @@
 replaced, and golden items of the suites' family batteries.
 
 ``reference_build_basis``, ``reference_flank_family`` (with ``_flanked``),
-``reference_support_closed_monomial_identities`` and
-``reference_verify_instance`` (with ``REFERENCE_EXPECTATIONS``) are the
-earlier construction, kept verbatim apart from their names: the central
-families (8)/(9) and (12)-(14) wrote their commutator, reversal and kill
-polynomials by hand, family (4) built a canonical monomial for every degree
-tuple, and every family carried its own expectation.  The library must emit
-the same instances, with the same parameters, truncation flags and verdicts.
+``reference_support_closed_monomial_identities``,
+``reference_verify_instance`` (with ``REFERENCE_EXPECTATIONS``),
+``reference_complete_sequences`` and ``reference_lift_sequences`` (with
+``_partial_sum_span``) are the earlier construction, kept verbatim apart from
+their names: the central families (8)/(9) and (12)-(14) wrote their
+commutator, reversal and kill polynomials by hand, family (4) built a
+canonical monomial for every degree tuple, every family carried its own
+expectation, and the complete sequences of families (11) and (15) were
+filtered from all n**n residue tuples and all (2n-1)**n integer lifts.  The
+library must emit the same instances, with the same parameters, truncation
+flags and verdicts, and the same sequences in the same order.
 """
 
 import itertools
@@ -24,7 +28,6 @@ from gradedpi.bases import (
     _commutator,
     _kill_instances,
     _neutral_commutator,
-    _partial_sum_span,
     _reversal,
     _reversal_instances,
     _symmetrization_family,
@@ -38,6 +41,7 @@ from gradedpi.grading import (
     ElementaryGrading,
     FINITE_GROUP,
     Grade,
+    GradingError,
     INTEGERS,
     MATRIX_UNITS,
     MU_ZERO,
@@ -136,6 +140,47 @@ def reference_flank_family(
     return out
 
 
+REFERENCE_MAX_COMPLETE_SEQUENCE_LENGTH = 6
+
+
+def reference_complete_sequences(n: int) -> list:
+    """All complete length-n residue sequences in lexicographic order."""
+    if n > REFERENCE_MAX_COMPLETE_SEQUENCE_LENGTH:
+        raise GradingError(
+            f"refusing to enumerate {n}**{n} sequences "
+            f"(bound {REFERENCE_MAX_COMPLETE_SEQUENCE_LENGTH})"
+        )
+    return [
+        seq
+        for seq in itertools.product(range(n), repeat=n)
+        if is_complete_sequence(n, seq)
+    ]
+
+
+def _partial_sum_span(seq: Sequence[int]) -> int:
+    sums = [0, *itertools.accumulate(seq)]
+    return max(sums) - min(sums)
+
+
+def _is_reference_lift(n: int, seq: Sequence[int]) -> bool:
+    return (
+        sum(seq) == 0
+        and is_complete_sequence(n, [g % n for g in seq])
+        and _partial_sum_span(seq) <= n - 1
+    )
+
+
+def reference_lift_sequences(n: int) -> list:
+    # residue-complete lifts with a nonzero integer sum end every row
+    # walk off its start by a multiple of n, so they are identities.
+    # A sum-zero lift is properly central exactly when its partial
+    # sums 0, s_1, ..., s_(n-1) span at most n - 1, so that some row
+    # walk survives it; every rotation shifts those sums by a
+    # constant, so the span decides the whole symmetrization
+    window = range(-(n - 1), n)
+    return [seq for seq in itertools.product(window, repeat=n) if _is_reference_lift(n, seq)]
+
+
 def reference_build_basis(
     grading: ElementaryGrading, kind: str, cutoff: Optional[int] = None
 ) -> BasisInstances:
@@ -197,7 +242,7 @@ def reference_build_basis(
             instances += reference_flank_family("(9)", grading, inner9, all_grades, 4)
             instances += _central_power_family(grading)
             instances += _symmetrization_family(
-                "(11)", grading, enumerate_complete_sequences(n)
+                "(11)", grading, reference_complete_sequences(n)
             )
             return BasisInstances(instances, False)
         if st.kind == INTEGERS:
@@ -215,20 +260,7 @@ def reference_build_basis(
             instances = reference_flank_family("(12)", grading, inner12, supp, 4)
             instances += reference_flank_family("(13)", grading, inner13, supp, 4)
             instances += reference_flank_family("(14)", grading, inner14, supp, 4)
-            # residue-complete lifts with a nonzero integer sum end every row
-            # walk off its start by a multiple of n, so they are identities.
-            # A sum-zero lift is properly central exactly when its partial
-            # sums 0, s_1, ..., s_(n-1) span at most n - 1, so that some row
-            # walk survives it; every rotation shifts those sums by a
-            # constant, so the span decides the whole symmetrization
-            window = range(-(n - 1), n)
-            sequences = [
-                seq
-                for seq in itertools.product(window, repeat=n)
-                if sum(seq) == 0
-                and is_complete_sequence(n, [g % n for g in seq])
-                and _partial_sum_span(seq) <= n - 1
-            ]
+            sequences = reference_lift_sequences(n)
             instances += _symmetrization_family("(15)", grading, sequences)
             return BasisInstances(instances, False)
         raise BasesError(
@@ -267,6 +299,30 @@ def _assert_same_basis(grading: ElementaryGrading, kind: str, cutoff: Optional[i
 def test_central_families_match_reference(spec):
     expected = _assert_same_basis(parse_grading_spec(spec), "central", None)
     assert {inst.family for inst in expected.instances} & {"(10)", "(11)", "(15)"}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_residue_sequences_match_reference(n):
+    assert enumerate_complete_sequences(n) == reference_complete_sequences(n)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_lift_sequences_match_reference(n):
+    assert enumerate_complete_sequences(n, lift=True) == reference_lift_sequences(n)
+
+
+@pytest.mark.parametrize(
+    "n, lift, count", [(7, False, 720), (8, False, 5040), (6, True, 720), (7, True, 5040)]
+)
+def test_sequences_past_the_filters(n, lift, count):
+    # (n-1)! residue sequences, n! lifts; the filters would take n**n or
+    # (2n-1)**n candidates here, so check the count, the order and the
+    # filters' predicates instead
+    sequences = enumerate_complete_sequences(n, lift=lift)
+    assert len(sequences) == count
+    assert all(a < b for a, b in zip(sequences, sequences[1:]))
+    predicate = _is_reference_lift if lift else is_complete_sequence
+    assert all(predicate(n, seq) for seq in sequences)
 
 
 IDENTITY_SPECS = [

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from gradedpi import (
+    MAX_COMPLETE_SEQUENCES,
     MAX_INPUT_ROW_STEPS,
     MAX_MATRIX_SIZE,
     MAX_TERM_DEGREE,
@@ -367,8 +368,34 @@ class TestResourceCaps:
         assert code == 0
         assert out == "0 monomial identities up to degree 9\n"
 
-    def test_complete_sequence_length_cap(self, capsys):
-        code, out, err = run(capsys, "basis", "--grading", "zp:7", "--kind", "central")
-        assert code == 2
-        assert out == ""
-        assert err == "error: refusing to enumerate 7**7 sequences (bound 6)\n"
+    def test_complete_sequence_cap(self, capsys):
+        # over MAX_COMPLETE_SEQUENCES sequences: 10! residue sequences on
+        # zp:11, 8! lifts on z:8; refused before any family is built, and the
+        # count, with over a thousand digits on z:512, is not printed
+        for argv, n in (
+            (["basis", "--grading", "zp:11", "--kind", "central"], 11),
+            (["basis", "--grading", "zp:509", "--kind", "central"], 509),
+            (["basis", "--grading", "z:8", "--kind", "central"], 8),
+            (["basis", "--grading", "z:512", "--kind", "central"], 512),
+            (["enumerate", "--grading", "zn:9", "--what", "complete-sequences"], 9),
+        ):
+            # timed without tracemalloc, which slows building zp:509 tenfold
+            start = time.perf_counter()
+            assert run(capsys, *argv)[0] == 2, argv
+            assert time.perf_counter() - start < 1.0, argv
+            err = self._refused(capsys, argv)
+            assert err == (
+                f"error: refusing to enumerate the complete sequences of length {n}: "
+                f"there are more than {MAX_COMPLETE_SEQUENCES}\n"
+            )
+            assert len(err) < 200, argv
+
+    def test_zp7_central_answers(self, capsys):
+        # 6! = 720 complete sequences, under the cap
+        code, out, err = run(
+            capsys, "basis", "--grading", "zp:7", "--kind", "central", "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        families = {fam["id"]: fam for fam in json.loads(out)["families"]}
+        assert (families["(11)"]["instances"], families["(11)"]["verified"]) == (720, 720)
+        assert all(fam["verified"] == fam["instances"] for fam in families.values())

@@ -15,10 +15,8 @@ from gradedpi.freealg import (
     apply_substitution,
     classify,
     format_polynomial,
-    multihomogeneous_components,
     parse_monomial,
     parse_polynomial,
-    strip_neutral,
     twin_block_threshold,
 )
 
@@ -77,28 +75,6 @@ class TestPolynomial:
         assert p.terms == {}
         assert p == Polynomial.zero()
 
-    def test_multihomogeneous_components_examples(self):
-        f = parse_polynomial("x[0,1]*x[0,2] - x[0,2]*x[0,1]", ZN2)
-        assert multihomogeneous_components(f) == [f]
-        g = parse_polynomial("x[1,1] + x[1,1]*x[0,1]", ZN2)
-        comps = multihomogeneous_components(g)
-        assert len(comps) == 2
-        assert multihomogeneous_components(Polynomial.zero()) == []
-
-    def test_components_sum_to_input(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            terms = {}
-            for _ in range(rng.randint(0, 6)):
-                d = rng.randint(0, 4)
-                m = Monomial(Var(rng.randint(0, 1), rng.randint(1, 3)) for _ in range(d))
-                terms[m] = terms.get(m, 0) + rng.randint(-4, 4)
-            f = Polynomial(terms)
-            total = Polynomial.zero()
-            for comp in multihomogeneous_components(f):
-                total = total + comp
-            assert total == f
-
 
 class TestSubstitution:
     def test_identity_map(self):
@@ -122,15 +98,6 @@ class TestSubstitution:
             apply_substitution(f, {Var(0, 1): parse_polynomial("x[1,1]", ZN2)}, ZN2)
 
 
-class TestStripNeutral:
-    def test_examples(self):
-        assert strip_neutral(mono((1, 1), (0, 1), (1, 2)), ZN2) == mono((1, 1), (1, 2))
-        assert strip_neutral(mono((0, 1), (0, 2)), ZN2) == ONE
-        assert strip_neutral(mono((1, 1), (1, 2)), ZN2) == mono((1, 1), (1, 2))
-        m = mono(((1, 1), 1), ((1, 2), 2))
-        assert strip_neutral(m, MU2) == m  # no neutral grade to strip
-
-
 class TestStripNeutralEquivalence:
     def test_identity_verdict_survives_stripping(self):
         # for multilinear support-closed words, deleting neutral variables
@@ -147,7 +114,7 @@ class TestStripNeutralEquivalence:
             m = Monomial(vars)
             if not classify(m, grading).support_closed:
                 continue
-            stripped = strip_neutral(m, grading)
+            stripped = Monomial(v for v in m.vars if v.grade != grading.neutral)
             if not len(stripped):
                 continue
             left = is_identity(Polynomial.from_monomial(m), grading)

@@ -1,9 +1,14 @@
 """Pinned CLI output: SHA-256 prefixes of reports that must stay byte-identical.
 
 The prefixes were recorded before the per-kind grading structures replaced
-the kind-string dispatch, so a refactor that changes a single byte of these
-reports fails here.  Paths of Cayley table files are replaced by ``<klein>``
-before hashing, since a fixture file lives in a fresh temporary directory.
+the kind-string dispatch; those of ``basis z:5 central`` and ``enumerate zn:6
+complete-sequences`` before the complete sequences were built from their
+partial sums instead of filtered.  A refactor that changes a single byte of
+these reports fails here.  ``basis zp:7 central``, refused by the filter, was
+recorded after its family (11) sequences were checked once against the
+filter run at n = 7.  Paths of Cayley table files are replaced by
+``<klein>`` before hashing, since a fixture file lives in a fresh temporary
+directory.
 """
 
 import hashlib
@@ -23,6 +28,12 @@ GOLDEN = {
     ("basis z:3 central", "json"): "498260e3106bd37c",
     ("basis z:4 central", "text"): "46a4652a431399fd",
     ("basis z:4 central", "json"): "62c7f5b75f2e13f1",
+    ("basis z:5 central", "text"): "a470636987ef0fdf",
+    ("basis z:5 central", "json"): "2770f0ef647b80cf",
+    ("basis zp:7 central", "text"): "90f946d8f75a6dd4",
+    ("basis zp:7 central", "json"): "e1c58ed08a6934b0",
+    ("enumerate zn:6 complete-sequences", "text"): "e9a57eaa0885d883",
+    ("enumerate zn:6 complete-sequences", "json"): "d8e24ea709eccc55",
     ("basis zn:4 identities", "text"): "03f663ab68d03f60",
     ("basis zn:4 identities", "json"): "583ce80b4e37c1c0",
     ("basis z:3 identities", "text"): "a7ddd852ed217423",
@@ -37,9 +48,10 @@ GOLDEN = {
 def _argv(case, fmt, klein_spec):
     if case == "verify":
         return ["verify", "--suite", "all", "--seed", "0", "--format", fmt]
-    _, spec, kind = case.split()
+    command, spec, kind = case.split()
     spec = klein_spec if spec == "klein" else spec
-    return ["basis", "--grading", spec, "--kind", kind, "--format", fmt]
+    option = "--kind" if command == "basis" else "--what"
+    return [command, "--grading", spec, option, kind, "--format", fmt]
 
 
 @pytest.mark.parametrize("case, fmt", sorted(GOLDEN), ids=lambda x: str(x))

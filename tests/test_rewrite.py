@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedpi.grading import MU_ZERO, parse_grading_spec
-from gradedpi.freealg import Monomial, Polynomial, Var
+from gradedpi.freealg import Monomial, Polynomial, Var, classify
 from gradedpi.genericmodel import entry_match, is_identity, monomial_product
 from gradedpi.rewrite import (
     CongruenceProof,
@@ -21,7 +21,6 @@ from gradedpi.rewrite import (
     _block_kept,
     apply_rule,
     find_congruence,
-    follows_from_kill,
     proof_from_json,
     proof_to_json,
     replay,
@@ -318,10 +317,10 @@ class TestReplay:
 
 class TestFollowsFromKill:
     def test_examples(self):
-        assert follows_from_kill(mono((1, 1), (1, 2)), Z2)
-        assert follows_from_kill(mono((3, 1)), Z3)
-        with pytest.raises(RuleError):
-            follows_from_kill(mono((1, 1)), ZN2)  # not an identity
+        # each monomial identity has a subword whose degree leaves the support
+        for m, grading in ((mono((1, 1), (1, 2)), Z2), (mono((3, 1)), Z3)):
+            assert is_identity(Polynomial.from_monomial(m), grading)
+            assert not classify(m, grading).support_closed
 
     def test_no_monomial_identities_over_full_support(self):
         # every residue word evaluates nonzero, so the kill question never arises
