@@ -76,8 +76,6 @@ from .bases import (
     build_basis,
     cyclic_symmetrization,
     enumerate_monomial_identities,
-    factor_complete,
-    reduce_central_monomial,
     verify_instance,
 )
 

@@ -33,7 +33,7 @@ from .grading import (
     is_complete_sequence,
 )
 from .freealg import Monomial, Polynomial, Var, classify, format_polynomial, twin_block_threshold
-from .genericmodel import _require_zero_constant, evaluate, is_identity
+from .genericmodel import _require_zero_constant, evaluate
 
 #: largest number of row steps that one monomial-identity scan may take
 #: (``enumerate_monomial_identities`` up to its degree bound, family (4) up
@@ -89,12 +89,14 @@ def canonical_monomial(hs: Sequence[Grade]) -> Monomial:
     return Monomial(vars)
 
 
-def _dead_monomials(grading: ElementaryGrading, max_degree: int) -> Iterator[Monomial]:
-    """Canonical monomials of the degree tuples over the support, of degree
-    1 to ``max_degree``, that no row walk survives.
+def enumerate_monomial_identities(grading: ElementaryGrading, max_degree: int) -> Iterator[Monomial]:
+    """All multilinear monomial identities up to a degree bound.
 
-    Refuses a negative bound, and a scan of more than ``MAX_SCAN_STEPS`` row
-    steps, before any tuple is walked.
+    One canonical representative is produced per degree tuple over the
+    support, of degree 1 to ``max_degree``, that no row walk survives; a
+    tuple with a grade outside the support is an identity for the trivial
+    reason and is not enumerated.  Refuses a negative bound, and a scan of
+    more than ``MAX_SCAN_STEPS`` row steps, before any tuple is walked.
     """
     if max_degree < 0:
         raise BasesError(f"degree bound must be non-negative, got {max_degree}")
@@ -113,17 +115,6 @@ def _dead_monomials(grading: ElementaryGrading, max_degree: int) -> Iterator[Mon
         for hs in itertools.product(supp, repeat=d)
         if not grading.row_walk(hs).rows
     )
-
-
-def enumerate_monomial_identities(grading: ElementaryGrading, max_degree: int) -> List[Monomial]:
-    """All multilinear monomial identities up to a degree bound.
-
-    One canonical representative is produced per degree tuple over the
-    support; a tuple with a grade outside the support is an identity for the
-    trivial reason and is not enumerated.  The scan is capped at
-    ``MAX_SCAN_STEPS`` row steps.
-    """
-    return list(_dead_monomials(grading, max_degree))
 
 
 def _residue(grading: ElementaryGrading, grade: Grade) -> int:
@@ -152,99 +143,6 @@ def cyclic_symmetrization(vars: Sequence[Var], grading: ElementaryGrading) -> Po
         mono = Monomial(vars[shift:] + vars[:shift])
         terms[mono] = terms.get(mono, 0) + 1
     return Polynomial(terms)
-
-
-def factor_complete(m: Monomial, grading: ElementaryGrading) -> Optional[List[Monomial]]:
-    """Cut a neutral monomial into n factors whose degrees form a complete
-    sequence, following a diagonal row walk that visits every row.
-
-    Only defined for the canonical cyclic grading.  Requires a neutral degree
-    and a nonzero generic evaluation; returns None when no diagonal walk
-    visits all rows.
-    """
-    st = grading.structure
-    if not st.is_cyclic:
-        raise BasesError("complete factorization needs the canonical cyclic grading")
-    n = grading.n
-    if m.degree(grading) != 0:
-        raise BasesError("complete factorization needs a neutral-degree monomial")
-    walk = grading.row_walk(m.h)
-    if not walk.rows:
-        raise BasesError("complete factorization needs a nonzero evaluation")
-    q = len(m)
-    for k in walk.rows:
-        path = walk.paths[k]  # length q+1, starts and ends at k
-        cuts = []
-        seen = set()
-        for c in range(q):
-            if path[c] not in seen:
-                seen.add(path[c])
-                cuts.append(c + 1)  # 1-based position
-        if len(seen) != n:
-            continue
-        factors = []
-        for t in range(n):
-            lo = cuts[t]
-            hi = cuts[t + 1] - 1 if t + 1 < n else q
-            factors.append(m.window(lo, hi))
-        return factors
-    return None
-
-
-def reduce_central_monomial(m: Monomial, grading: ElementaryGrading) -> Polynomial:
-    """Collect a central monomial into its canonical power form.
-
-    Over a prime residue grading every central non-identity monomial is
-    congruent, modulo the graded identities, to a product of full powers:
-    either x1^k1 ... xq^kq when no variable has neutral degree, or
-    (w z1^(k1/p) ... zs^(ks/p))^p w^(kw-p) * rest when the zi are the neutral
-    variables and w is the first non-neutral one.  The returned monomial is
-    checked to differ from the input by an identity.
-    """
-    st = grading.structure
-    if not st.is_cyclic or not _is_prime(st.order):
-        raise BasesError("central reduction needs a prime residue grading")
-    if st.order != grading.n:
-        raise BasesError("central reduction needs the canonical residue grading")
-    p = grading.n
-    poly = Polynomial.from_monomial(m)
-    value = evaluate(poly, grading)
-    if value.is_zero:
-        raise BasesError("central reduction expects a non-identity monomial")
-    if not value.is_scalar:
-        raise BasesError("central reduction expects a central monomial")
-    order: List[Var] = []
-    counts: Dict[Var, int] = {}
-    for v in m.vars:
-        if v not in counts:
-            order.append(v)
-        counts[v] = counts.get(v, 0) + 1
-    for v, k in counts.items():
-        if k % p:
-            raise BasesError("central monomial with a variable degree not divisible by the modulus")
-    neutral = [v for v in order if v.grade == 0]
-    if not neutral:
-        vars: List[Var] = []
-        for v in order:
-            vars.extend([v] * counts[v])
-        collected = Monomial(vars)
-    else:
-        moving = [v for v in order if v.grade != 0]
-        if not moving:
-            raise BasesError("a central non-identity monomial must use a non-neutral variable")
-        w = moving[0]
-        block: List[Var] = [w]
-        for z in neutral:
-            block.extend([z] * (counts[z] // p))
-        vars = list(block) * p
-        vars.extend([w] * (counts[w] - p))
-        for v in moving[1:]:
-            vars.extend([v] * counts[v])
-        collected = Monomial(vars)
-    reduced = Polynomial.from_monomial(collected)
-    if not is_identity(poly - reduced, grading):
-        raise BasesError("power collection failed to stay congruent")
-    return reduced
 
 
 # -- family builders -------------------------------------------------------------
@@ -291,7 +189,7 @@ def _support_closed_monomial_identities(
         GeneratorInstance(
             "(4)", Polynomial.from_monomial(mono), {"h": [format_grade(h) for h in mono.h]}
         )
-        for mono in _dead_monomials(grading, effective)
+        for mono in enumerate_monomial_identities(grading, effective)
         if classify(mono, grading).support_closed
     ]
     return out, effective < threshold

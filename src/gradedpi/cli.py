@@ -110,6 +110,10 @@ def _cmd_enumerate(args) -> int:
         _emit(payload, args.format, lines)
         return 0
     if args.what == "complete-sequences":
+        if not grading.structure.is_cyclic:
+            raise UsageError(
+                f"complete sequences are listed for cyclic residue gradings only, not {args.grading!r}"
+            )
         sequences = [list(seq) for seq in enumerate_complete_sequences(grading.n)]
         payload = {
             "command": "enumerate",

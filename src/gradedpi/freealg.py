@@ -118,9 +118,6 @@ class Polynomial:
     def constant_term(self) -> int:
         return self.terms.get(ONE, 0)
 
-    def coefficient(self, m: Monomial) -> int:
-        return self.terms.get(m, 0)
-
     def monomials(self):
         return sorted(self.terms, key=Monomial.sort_key)
 
@@ -250,10 +247,6 @@ class MonomialClass:
     @property
     def has_twin_neutral_blocks(self) -> bool:
         return self.twin_blocks is not None
-
-    @property
-    def neutral_subword_free(self) -> bool:
-        return not self.has_proper_neutral_subword
 
 
 def twin_block_threshold(support_size: int) -> int:

@@ -1,4 +1,4 @@
-"""Generator families, enumeration, symmetrization, and reductions."""
+"""Generator families, enumeration, symmetrization, and power-form congruences."""
 
 import itertools
 import math
@@ -17,8 +17,6 @@ from gradedpi.bases import (
     canonical_monomial,
     cyclic_symmetrization,
     enumerate_monomial_identities,
-    factor_complete,
-    reduce_central_monomial,
     verify_instance,
 )
 
@@ -36,8 +34,8 @@ def mono(*pairs):
 
 class TestEnumeration:
     def test_residue_gradings_have_none(self):
-        assert enumerate_monomial_identities(ZN2, 4) == []
-        assert enumerate_monomial_identities(ZN3, 4) == []
+        assert list(enumerate_monomial_identities(ZN2, 4)) == []
+        assert list(enumerate_monomial_identities(ZN3, 4)) == []
 
     def test_integer_grading_degree_two(self):
         found = enumerate_monomial_identities(Z2, 2)
@@ -69,7 +67,7 @@ class TestEnumeration:
         # 1 + 2 + ... + D row steps however few its tuples are
         z1 = parse_grading_spec("z:1")
         top = max(d for d in range(2000) if d * (d + 1) // 2 <= MAX_SCAN_STEPS)
-        assert enumerate_monomial_identities(z1, top) == []
+        assert list(enumerate_monomial_identities(z1, top)) == []
         with pytest.raises(BasesError, match="exceeds the limit"):
             enumerate_monomial_identities(z1, top + 1)
         # 4160 tuples on zn:64 up to degree 2, each walked from 64 rows
@@ -202,88 +200,49 @@ class TestCyclicSymmetrization:
                 assert not is_identity(f, grading)
 
 
-class TestFactorComplete:
-    def test_examples(self):
-        factors = factor_complete(mono((1, 1), (1, 2)), ZN2)
-        assert factors == [mono((1, 1)), mono((1, 2))]
-        factors = factor_complete(mono((1, 1), (1, 2), (1, 3)), ZN3)
-        assert factors == [mono((1, 1)), mono((1, 2)), mono((1, 3))]
-        assert factor_complete(mono((0, 1), (0, 2)), ZN2) is None
-
-    def test_factor_properties(self):
-        from gradedpi.grading import is_complete_sequence
-
-        rng = random.Random(19)
-        found = 0
-        while found < 40:
-            d = rng.randint(2, 6)
-            hs = [rng.randrange(3) for _ in range(d)]
-            if sum(hs) % 3 != 0:
-                continue
-            m = Monomial(Var(h, rng.randint(1, 2)) for h in hs)
-            factors = factor_complete(m, ZN3)
-            if factors is None:
-                continue
-            found += 1
-            assert len(factors) == 3
-            joined = Monomial(tuple(v for f in factors for v in f.vars))
-            assert joined == m
-            degrees = [f.degree(ZN3) for f in factors]
-            assert is_complete_sequence(3, degrees)
-
-    def test_preconditions(self):
-        with pytest.raises(BasesError):
-            factor_complete(mono((1, 1)), ZN2)  # degree 1, not neutral
-        with pytest.raises(BasesError):
-            factor_complete(mono((1, 1), (-1, 1)), Z2)  # wrong grading kind
+X1, X2, X0 = Var(1, 1), Var(1, 2), Var(0, 1)
 
 
-class TestReduceCentralMonomial:
-    def test_power_collection(self):
-        # z1 z2 z2 z1 is central over zn:2 and collects to z1^2 z2^2
-        m = mono((1, 1), (1, 2), (1, 2), (1, 1))
-        reduced = reduce_central_monomial(m, ZN2)
-        assert reduced == Polynomial.from_monomial(mono((1, 1), (1, 1), (1, 2), (1, 2)))
-        assert is_identity(Polynomial.from_monomial(m) - reduced, ZN2)
+@pytest.mark.parametrize(
+    "spec, word, collected",
+    [
+        # z1 z2 z2 z1 collects to z1^2 z2^2 over zn:2
+        ("zn:2", (X1, X2, X2, X1), (X1, X1, X2, X2)),
+        # (x1 x2)^3 collects to x1^3 x2^3, and to x2^3 x1^3, over zp:3
+        ("zp:3", (X1, X2) * 3, (X1,) * 3 + (X2,) * 3),
+        ("zp:3", (X1, X2) * 3, (X2,) * 3 + (X1,) * 3),
+        # a neutral variable rides inside the power block
+        ("zn:2", (X0, X1, X0, X1), (X1, X0, X1, X0)),
+        ("zp:3", (X0, X1) * 3, (X1, X0) * 3),
+    ],
+    ids=[
+        "power_collection",
+        "cube_pair",
+        "cube_pair_reversed",
+        "neutral_variable_case",
+        "neutral_variable_case_mod_three",
+    ],
+)
+def test_central_monomials_collect_to_power_form(spec, word, collected):
+    # over a prime residue grading a central monomial is congruent, modulo
+    # the graded identities, to a product of full powers
+    grading = parse_grading_spec(spec)
+    m = Polynomial.from_monomial(Monomial(word))
+    assert is_central(m, grading) and not is_identity(m, grading)
+    assert is_identity(m - Polynomial.from_monomial(Monomial(collected)), grading)
 
-    def test_cube_pair(self):
-        m = Monomial((Var(1, 1), Var(1, 2)) * 3)
-        reduced = reduce_central_monomial(m, ZP3)
-        assert is_identity(Polynomial.from_monomial(m) - reduced, ZP3)
-        # the reversed collection is congruent too
-        swapped = Polynomial.from_monomial(Monomial((Var(1, 2),) * 3 + (Var(1, 1),) * 3))
-        assert is_identity(Polynomial.from_monomial(m) - swapped, ZP3)
 
-    def test_already_collected(self):
-        m = Monomial((Var(1, 1),) * 3)
-        assert reduce_central_monomial(m, ZP3) == Polynomial.from_monomial(m)
-
-    def test_neutral_variable_case(self):
-        # x0 z x0 z is central over zn:2; the collected form wraps the
-        # neutral variable inside a squared block
-        m = mono((0, 1), (1, 1), (0, 1), (1, 1))
-        assert is_central(Polynomial.from_monomial(m), ZN2)
-        reduced = reduce_central_monomial(m, ZN2)
-        assert is_identity(Polynomial.from_monomial(m) - reduced, ZN2)
-        assert reduced == Polynomial.from_monomial(mono((1, 1), (0, 1), (1, 1), (0, 1)))
-
-    def test_neutral_variable_case_mod_three(self):
-        z, x0 = Var(1, 1), Var(0, 1)
-        m = Monomial((x0, z) * 3)
-        assert is_central(Polynomial.from_monomial(m), ZP3)
-        reduced = reduce_central_monomial(m, ZP3)
-        assert reduced == Polynomial.from_monomial(Monomial((z, x0) * 3))
-        assert is_identity(Polynomial.from_monomial(m) - reduced, ZP3)
-        already = Monomial((z, x0) * 3)
-        assert reduce_central_monomial(already, ZP3) == Polynomial.from_monomial(already)
-
-    def test_preconditions(self):
-        with pytest.raises(BasesError):
-            reduce_central_monomial(mono((1, 1), (1, 2)), ZN2)  # not central
-        with pytest.raises(BasesError):
-            reduce_central_monomial(mono((1, 1), (1, 2), (1, 1), (1, 2)), ZN2)  # not central
-        with pytest.raises(BasesError):
-            reduce_central_monomial(mono((1, 1), (1, 1)), parse_grading_spec("zn:4"))
+def _complete_factors(m, grading):
+    """Cut a neutral monomial at the first visit of each row along a row
+    walk that visits all n rows; None when no surviving walk does."""
+    walk = grading.row_walk(m.h)
+    for k in walk.rows:
+        path = walk.paths[k]
+        cuts = [c + 1 for c in range(len(m)) if path[c] not in path[:c]]
+        if len(cuts) == grading.n:
+            ends = [c - 1 for c in cuts[1:]] + [len(m)]
+            return [m.window(lo, hi) for lo, hi in zip(cuts, ends)]
+    return None
 
 
 class TestBlockSymmetrization:
@@ -299,9 +258,11 @@ class TestBlockSymmetrization:
             if sum(hs) % 3 != 0:
                 continue
             m = Monomial(Var(h, rng.randint(1, 2)) for h in hs)
-            factors = factor_complete(m, ZN3)
+            factors = _complete_factors(m, ZN3)
             if factors is None:
                 continue
+            assert Monomial(v for f in factors for v in f.vars) == m
+            assert is_complete_sequence(3, [f.degree(ZN3) for f in factors])
             fresh = [Var(f.degree(ZN3), 90 + t) for t, f in enumerate(factors)]
             template = cyclic_symmetrization(fresh, ZN3)
             mapping = {
@@ -309,7 +270,7 @@ class TestBlockSymmetrization:
             }
             rotated_sum = apply_substitution(template, mapping, ZN3)
             assert is_central(rotated_sum, ZN3)
-            assert rotated_sum.coefficient(m) >= 1
+            assert rotated_sum.terms.get(m, 0) >= 1
             built += 1
 
 

@@ -163,6 +163,15 @@ class TestEnumerate:
         assert code == 0
         assert json.loads(out)["sequences"] == [[1, 1]]
 
+    def test_complete_sequences_need_a_cyclic_grading(self, capsys, klein_file):
+        for spec in ("mu:3", "z:3", f"group:{klein_file}:e,a,b"):
+            code, out, err = run(
+                capsys, "enumerate", "--grading", spec, "--what", "complete-sequences"
+            )
+            assert (code, out) == (2, ""), spec
+            assert err.startswith("error: ") and err.count("\n") == 1, spec
+            assert repr(spec) in err, spec
+
 
 class TestBasisAndVerify:
     def test_basis_report(self, capsys):

@@ -128,7 +128,6 @@ class TestClassify:
         assert not classify(mono((1, 1), (1, 2)), Z2).support_closed
         cls = classify(mono((1, 1), (1, 2)), ZN2)
         assert cls.support_closed
-        assert cls.neutral_subword_free
         assert not cls.has_proper_neutral_subword
 
     def test_twin_blocks_example(self):
@@ -164,7 +163,7 @@ class TestClassify:
         assert classify(mono(((1, 2), 1), ((2, 1), 2)), MU2).support_closed
         cls = classify(mono(((1, 2), 1), ((1, 2), 2)), MU2)
         assert not cls.support_closed  # the zero degree leaves the support
-        assert cls.neutral_subword_free
+        assert not cls.has_proper_neutral_subword
 
     def test_long_support_closed_words_gain_neutral_subwords(self):
         # support-closed words longer than the support size must contain a

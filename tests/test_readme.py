@@ -1,13 +1,17 @@
-"""README's size-cap table against the package's ``MAX_*`` constants."""
+"""README against the package: the size-cap table against the ``MAX_*``
+constants, and every Quick start command against the CLI."""
 
 import importlib
 import pathlib
 import re
+import shlex
 
 import gradedpi
+from gradedpi.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 ROW = re.compile(r"^\| `gradedpi\.(\w+)\.(MAX_\w+)` *\| *(\w+) *\|", re.MULTILINE)
+QUICK_START = re.compile(r"^## Quick start\n+```sh\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
 
 def test_size_cap_table_matches_the_constants():
@@ -21,3 +25,14 @@ def test_size_cap_table_matches_the_constants():
             gradedpi, name
         ), f"{name} is not in gradedpi.{module}"
         assert int(value) == getattr(gradedpi, name), name
+
+
+def test_quick_start_commands_exit_0(capsys):
+    block = QUICK_START.search(README.read_text(encoding="utf-8")).group(1)
+    commands = [
+        line for line in block.replace("\\\n", " ").splitlines() if line.startswith("gradedpi ")
+    ]
+    assert len(commands) == 6
+    for command in commands:
+        assert main(shlex.split(command)[1:]) == 0, command
+        capsys.readouterr()
