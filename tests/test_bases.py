@@ -245,6 +245,29 @@ def _complete_factors(m, grading):
     return None
 
 
+class TestFactorComplete:
+    def test_factor_properties(self):
+        # cutting a neutral word at the first visit of each row yields n
+        # factors that join back to the word and form a complete sequence
+        rng = random.Random(19)
+        found = 0
+        while found < 40:
+            d = rng.randint(2, 6)
+            hs = [rng.randrange(3) for _ in range(d)]
+            if sum(hs) % 3 != 0:
+                continue
+            m = Monomial(Var(h, rng.randint(1, 2)) for h in hs)
+            factors = _complete_factors(m, ZN3)
+            if factors is None:
+                continue
+            found += 1
+            assert len(factors) == 3
+            joined = Monomial(tuple(v for f in factors for v in f.vars))
+            assert joined == m
+            degrees = [f.degree(ZN3) for f in factors]
+            assert is_complete_sequence(3, degrees)
+
+
 class TestBlockSymmetrization:
     def test_factoring_then_rotating_blocks_is_central(self):
         # the factors of a neutral word form a complete degree sequence, so
