@@ -34,12 +34,6 @@ class Monomial:
     def __len__(self):
         return len(self.vars)
 
-    def __iter__(self):
-        return iter(self.vars)
-
-    def __getitem__(self, i):
-        return self.vars[i]
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(self.vars + other.vars)
 
@@ -163,11 +157,6 @@ class Polynomial:
                     out.pop(m, None)
         return Polynomial(out)
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
     def __repr__(self):
         if self.is_zero:
             return "Polynomial(0)"
@@ -259,19 +248,6 @@ def twin_block_threshold(support_size: int) -> int:
     return (s + 1) * ((s + 1) * total + 1)
 
 
-def _support_closed(h, mul, supp) -> bool:
-    # running products of every subword, O(l^2) multiplications
-    for a in range(len(h)):
-        acc = h[a]
-        if acc not in supp:
-            return False
-        for b in range(a + 1, len(h)):
-            acc = mul(acc, h[b])
-            if acc not in supp:
-                return False
-    return True
-
-
 def _twin_blocks(pref, h, l) -> Optional[TwinBlocks]:
     # Bucket block starts by (prefix value, degree tuple); within a bucket the
     # neutral-gap condition is automatic because all four boundary prefixes
@@ -303,24 +279,25 @@ def classify(m: Monomial, grading: ElementaryGrading) -> MonomialClass:
     (the positional kind) there are no neutral subwords or blocks.
     """
     st = grading.structure
+    supp = grading.support()
     h = m.h
     l = len(h)
-    support_closed = _support_closed(h, st.mul, grading.support())
     if not st.has_identity:
-        return MonomialClass(support_closed, None, False)
+        # a product of positions is nonzero exactly when each neighbouring
+        # pair composes, so one pass over adjacent letters decides closure
+        closed = all(g in supp for g in h) and all(st.mul(a, b) in supp for a, b in zip(h, h[1:]))
+        return MonomialClass(closed, None, False)
     pref = [st.identity]
     for g in h:
         pref.append(st.mul(pref[-1], g))
-    positions: Dict[Grade, int] = {}
-    dup_pairs = 0
-    for p in pref:
-        seen = positions.get(p, 0)
-        dup_pairs += seen
-        positions[p] = seen + 1
-    if l >= 1 and pref[0] == pref[l]:
-        dup_pairs -= 1  # the full word is not a proper subword
-    has_proper = dup_pairs > 0
-
+    # The subword between prefixes a < b has degree pref[a]^-1 pref[b].  The
+    # support holds the identity and is closed under inverses, so only the
+    # distinct prefix values matter; pref[0] is the identity, so each value
+    # must itself lie in the support, which bounds the pairs by |support|^2.
+    values = set(pref)
+    support_closed = values <= supp and all(st.mul(st.inverse(p), q) in supp for p in values for q in values)
+    # each repeated prefix value is a neutral subword; the whole word is not proper
+    has_proper = l + 1 - len(values) > (l >= 1 and pref[0] == pref[l])
     return MonomialClass(support_closed, _twin_blocks(pref, h, l), has_proper)
 
 

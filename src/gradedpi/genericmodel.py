@@ -75,12 +75,6 @@ class SparsePoly:
                 merged.pop(k, None)
         return SparsePoly(merged)
 
-    def __neg__(self) -> "SparsePoly":
-        return SparsePoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        return self + (-other)
-
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         out: Dict[tuple, int] = {}
         for k1, c1 in self.terms.items():

@@ -5,7 +5,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedpi.grading import GradingError, MU_ZERO, parse_grading_spec
+from gradedpi.grading import (
+    ElementaryGrading,
+    GradingError,
+    IntegerGroup,
+    MatrixUnitSemigroup,
+    MU_ZERO,
+    parse_grading_spec,
+)
 from gradedpi.freealg import (
     Monomial,
     ONE,
@@ -189,6 +196,30 @@ class TestClassify:
             cls = classify(m, zn3)
             assert cls.support_closed
             assert cls.has_proper_neutral_subword
+
+    @pytest.mark.parametrize(
+        "structure_class, args, rows, grades",
+        [
+            (IntegerGroup, (), (1, 2), [1, -1] * 500),
+            (MatrixUnitSemigroup, (3,), ((1, 1), (2, 2), (3, 3)), [(1, 1)] * 1000),
+        ],
+        ids=["z:2-alternating", "mu:3-power"],
+    )
+    def test_products_grow_linearly(self, structure_class, args, rows, grades):
+        # a count, not a timing: at most 2 l + |support|^2 products, where
+        # multiplying out every subword would take l (l + 1) / 2
+        class Counting(structure_class):
+            calls = 0
+
+            def mul(self, a, b):
+                self.calls += 1
+                return super().mul(a, b)
+
+        structure = Counting(*args)
+        grading = ElementaryGrading(structure, rows)
+        structure.calls = 0
+        assert classify(mono(*((g, 1) for g in grades)), grading).support_closed
+        assert structure.calls <= 2 * len(grades) + len(grading.support()) ** 2
 
     def test_threshold_values(self):
         # independent oracle: expand the defining sum directly

@@ -7,7 +7,9 @@ names: one structure class that branched on a kind string in every member,
 an elementary grading that branched on it for the unit degrees and row maps,
 a rewrite step that wrote each rule's precondition once per kind, and a
 classification with a separate support-closure pass for the positional kind.
-The current code must agree with them on every grading kind.
+``_support_closed`` is the support-closure test that followed them, kept
+verbatim: it multiplies out the running product of every subword.  The
+current code must agree with them on every grading kind.
 """
 
 import itertools
@@ -462,6 +464,19 @@ def _mu_support_closed(m: Monomial, grading: ElementaryGrading) -> bool:
     return True
 
 
+def _support_closed(h, mul, supp) -> bool:
+    # running products of every subword, O(l^2) multiplications
+    for a in range(len(h)):
+        acc = h[a]
+        if acc not in supp:
+            return False
+        for b in range(a + 1, len(h)):
+            acc = mul(acc, h[b])
+            if acc not in supp:
+                return False
+    return True
+
+
 def _twin_blocks(pref, h, l) -> Optional[TwinBlocks]:
     # Bucket block starts by (prefix value, degree tuple); within a bucket the
     # neutral-gap condition is automatic because all four boundary prefixes
@@ -620,16 +635,17 @@ def test_products_match_reference(data):
     assert _outcome(new.structure.product, grades) == _outcome(old.structure.product, grades)
 
 
-def _words(data, old, pool, max_size):
+def _words(data, old, pool, max_size, min_size=0, strays=True):
     """A random word: mostly a walk through matrix units of the reference
     grading, so subwords keep nonzero degrees and the rule preconditions
-    hold often, with letters of any pool grade mixed in."""
-    length = data.draw(st.integers(0, max_size))
+    hold often, with letters of any pool grade mixed in unless ``strays``
+    is false."""
+    length = data.draw(st.integers(min_size, max_size))
     row = data.draw(st.integers(1, old.n))
     letters = []
     for _ in range(length):
         nxt = data.draw(st.integers(1, old.n))
-        if data.draw(st.integers(0, 6)) == 0:
+        if strays and data.draw(st.integers(0, 6)) == 0:
             grade = data.draw(st.sampled_from(pool))
         else:
             grade = old.unit_degree(row, nxt)
@@ -671,3 +687,16 @@ def test_classify_matches_reference(data):
     old, new, pool = PAIRS[data.draw(st.sampled_from(NAMES))]
     m = _words(data, old, pool, 14)
     assert classify(m, new) == reference_classify(m, old)
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_classify_matches_reference_on_long_words(name, data):
+    # prefix values repeat many times over; a long word with stray letters
+    # is rarely support-closed, so half the words are plain walks
+    old, new, pool = PAIRS[name]
+    m = _words(data, old, pool, 800, min_size=100, strays=data.draw(st.booleans()))
+    cls = classify(m, new)
+    assert cls == reference_classify(m, old)
+    assert cls.support_closed == _support_closed(m.h, new.structure.mul, new.support())
