@@ -52,11 +52,7 @@ from .genericmodel import (
     identity_witness,
     is_central,
     is_identity,
-    make_generic,
-    matrix_unit_oracle,
     monomial_product,
-    naive_monomial_product,
-    units_of_degree,
 )
 from .rewrite import (
     CongruenceProof,

@@ -8,14 +8,15 @@ checks are exact integer polynomial comparisons.
 
 Monomial evaluations are computed in closed form from the row walks of the
 degree sequence rather than by iterated matrix multiplication; the naive
-product is kept as an independent cross-check.  Matrices are sparse: only
-nonzero entries are stored, and a polynomial is evaluated by walking each
-term once and merging its coefficient into the entries it reaches.
+product, the independent cross-check, lives in ``gradedpi.oracles`` with the
+other brute-force oracles, and this module does no matrix arithmetic.
+Matrices are sparse: only nonzero entries are stored, and a polynomial is
+evaluated by walking each term once and merging its coefficient into the
+entries it reaches.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -65,31 +66,6 @@ class SparsePoly:
     def __eq__(self, other):
         return isinstance(other, SparsePoly) and self.terms == other.terms
 
-    def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        merged = dict(self.terms)
-        for k, c in other.terms.items():
-            nc = merged.get(k, 0) + c
-            if nc:
-                merged[k] = nc
-            else:
-                merged.pop(k, None)
-        return SparsePoly(merged)
-
-    def __mul__(self, other: "SparsePoly") -> "SparsePoly":
-        out: Dict[tuple, int] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                powers = dict(k1)
-                for v, e in k2:
-                    powers[v] = powers.get(v, 0) + e
-                key = tuple(sorted(powers.items()))
-                nc = out.get(key, 0) + c1 * c2
-                if nc:
-                    out[key] = nc
-                else:
-                    out.pop(key, None)
-        return SparsePoly(out)
-
     def text(self, grading: ElementaryGrading) -> str:
         """Deterministic text form, used in witness reports."""
         if self.is_zero:
@@ -128,10 +104,6 @@ class PolyMatrix:
         self.n = n
         self.cells = {pos: p for pos, p in (cells or {}).items() if not p.is_zero}
 
-    @staticmethod
-    def identity(n: int) -> "PolyMatrix":
-        return PolyMatrix(n, {(k, k): SparsePoly.one() for k in range(1, n + 1)})
-
     def entry(self, i: int, j: int) -> SparsePoly:
         """Entry at row i, column j (1-based)."""
         p = self.cells.get((i, j))
@@ -143,17 +115,6 @@ class PolyMatrix:
             and self.n == other.n
             and self.cells == other.cells
         )
-
-    def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        right_rows: Dict[int, List[Tuple[int, SparsePoly]]] = {}
-        for (k, j), right in other.cells.items():
-            right_rows.setdefault(k, []).append((j, right))
-        out: Dict[Position, SparsePoly] = {}
-        for (i, k), left in self.cells.items():
-            for j, right in right_rows.get(k, ()):
-                prod = left * right
-                out[(i, j)] = out[(i, j)] + prod if (i, j) in out else prod
-        return PolyMatrix(self.n, out)
 
     @property
     def is_zero(self) -> bool:
@@ -183,18 +144,6 @@ class PolyMatrix:
 
     def __repr__(self):
         return f"PolyMatrix({self.n}x{self.n})"
-
-
-def make_generic(grading: ElementaryGrading, h: Grade, i: int) -> PolyMatrix:
-    """The canonical degree-h generic matrix with generic index i.
-
-    One fresh commuting variable sits in each row k that admits a unit of
-    degree h, at column target_k; the matrix is zero when no row does.
-    """
-    return PolyMatrix(
-        grading.n,
-        {(k, j): SparsePoly.variable((h, i, k)) for k, j in grading._target(h).items()},
-    )
 
 
 def _as_pairs(vars: Union[Monomial, Iterable]) -> List[Tuple[Grade, int]]:
@@ -278,16 +227,6 @@ def monomial_product(grading: ElementaryGrading, vars: Union[Monomial, Iterable]
     return _matrix(grading.n, acc)
 
 
-def naive_monomial_product(grading: ElementaryGrading, vars: Union[Monomial, Iterable]) -> PolyMatrix:
-    """Iterated matrix multiplication; the independent cross-check for the
-    closed form."""
-    pairs = _as_pairs(vars)
-    acc = PolyMatrix.identity(grading.n)
-    for h, i in pairs:
-        acc = acc * make_generic(grading, h, i)
-    return acc
-
-
 def evaluate(f: Polynomial, grading: ElementaryGrading) -> PolyMatrix:
     """Generic evaluation of a polynomial under the canonical assignment.
 
@@ -320,71 +259,6 @@ def is_central(f: Polynomial, grading: ElementaryGrading) -> bool:
     """
     _require_zero_constant(f)
     return evaluate(f, grading).is_scalar
-
-
-def units_of_degree(grading: ElementaryGrading, h: Grade) -> List[Tuple[int, int]]:
-    """All matrix unit positions carrying the degree h."""
-    step = grading.degree_rows(h)
-    return [(k, step.target[k]) for k in step.rows]
-
-
-def _multilinear_variables(f: Polynomial) -> List[Var]:
-    if f.is_zero:
-        return []
-    common = None
-    for m in f.terms:
-        seen = set()
-        for v in m.vars:
-            if v in seen:
-                raise GradingError("not multilinear: repeated variable in a term")
-            seen.add(v)
-        if common is None:
-            common = seen
-        elif seen != common:
-            raise GradingError("not multilinear: terms use different variable sets")
-    if not common:
-        raise GradingError("not multilinear: constant polynomial")
-    return sorted(common)
-
-
-def matrix_unit_oracle(f: Polynomial, grading: ElementaryGrading) -> bool:
-    """Brute-force identity check for multilinear polynomials.
-
-    Substitutes every tuple of matrix units of the correct degrees and checks
-    that each resulting integer matrix vanishes.  Multilinearity makes this
-    exhaustive check equivalent to vanishing on all homogeneous elements, so
-    it serves as an independent oracle for the generic-matrix procedure.
-    """
-    if f.is_zero:
-        return True
-    vars_ = _multilinear_variables(f)
-    choices = [units_of_degree(grading, v.grade) for v in vars_]
-    n = grading.n
-    for combo in itertools.product(*choices):
-        env = dict(zip(vars_, combo))
-        total: Dict[Tuple[int, int], int] = {}
-        for mono, coeff in f.terms.items():
-            pos = None
-            dead = False
-            for v in mono.vars:
-                u = env[v]
-                if pos is None:
-                    pos = u
-                elif pos[1] == u[0]:
-                    pos = (pos[0], u[1])
-                else:
-                    dead = True
-                    break
-            if dead or pos is None:
-                continue
-            nc = total.get(pos, 0) + coeff
-            if nc:
-                total[pos] = nc
-            else:
-                del total[pos]
-        if total:
-            return False
-    return True
 
 
 def entry_match(m1: Monomial, m2: Monomial, grading: ElementaryGrading) -> Optional[Tuple[int, int]]:

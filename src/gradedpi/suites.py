@@ -27,23 +27,17 @@ from .freealg import (
     classify,
     twin_block_threshold,
 )
-from .genericmodel import (
-    PolyMatrix,
-    entry_match,
-    evaluate,
-    is_identity,
-    matrix_unit_oracle,
-    monomial_product,
-    naive_monomial_product,
-    units_of_degree,
-)
+from .genericmodel import PolyMatrix, entry_match, evaluate, is_identity, monomial_product
+from .oracles import matrix_unit_oracle, naive_monomial_product, unit_chain_exists
 from .rewrite import _rule_names, apply_rule, find_congruence, replay
 from .bases import (
+    GeneratorInstance,
     basis_report,
     build_basis,
     canonical_monomial,
     cyclic_symmetrization,
     enumerate_monomial_identities,
+    verify_instance,
 )
 
 
@@ -184,16 +178,16 @@ def battery_identity_consequences(seed: int = 0, lane: str = "both") -> List[Ite
     for spec in specs:
         grading = parse_grading_spec(spec)
         basis = build_basis(grading, "identities")
-        by_family: Dict[str, List[Polynomial]] = {}
+        by_family: Dict[str, List[GeneratorInstance]] = {}
         for inst in basis.instances:
-            by_family.setdefault(inst.family, []).append(inst.poly)
+            by_family.setdefault(inst.family, []).append(inst)
         for family in sorted(by_family, key=lambda f: int(f.strip("()"))):
-            polys = by_family[family]
+            insts = by_family[family]
             rng = random.Random((seed, spec, family).__repr__())
-            base_ok = all(is_identity(p, grading) for p in polys)
+            base_ok = all(verify_instance(inst, grading) for inst in insts)
             closure_ok = True
             for _ in range(200):
-                poly = rng.choice(polys)
+                poly = rng.choice(insts).poly
                 image = _random_consequence(poly, grading, rng)
                 if not is_identity(image, grading):
                     closure_ok = False
@@ -277,8 +271,7 @@ def battery_oracle_equivalence(seed: int = 0) -> List[ItemResult]:
 def battery_fast_product(seed: int = 0) -> List[ItemResult]:
     """Closed-form monomial evaluation equals iterated multiplication."""
     items: List[ItemResult] = []
-    specs = ["zn:2", "zn:3", "zn:4", "z:2", "z:3", "z:4", "mu:2", "mu:3"]
-    gradings = [parse_grading_spec(s) for s in specs]
+    gradings = [parse_grading_spec(s) for s in GENERATOR_GRADINGS]
     rng = random.Random(seed)
     ok = True
     for _ in range(300):
@@ -317,22 +310,6 @@ def battery_central_integer(seed: int = 0) -> List[ItemResult]:
     return _family_items(["z:2", "z:3"], "central")
 
 
-def _unit_chain_exists(grading: ElementaryGrading, seq: Sequence[int]) -> bool:
-    """Brute force: some tuple of units with these degrees chains up, covers
-    every row, and closes."""
-    n = grading.n
-    unit_sets = [units_of_degree(grading, g % n) for g in seq]
-    for combo in itertools.product(*unit_sets):
-        if any(combo[l][1] != combo[l + 1][0] for l in range(n - 1)):
-            continue
-        if combo[-1][1] != combo[0][0]:
-            continue
-        if {u[0] for u in combo} != set(range(1, n + 1)):
-            continue
-        return True
-    return False
-
-
 def battery_complete_sequences(seed: int = 0) -> List[ItemResult]:
     """Complete sequences: definition vs unit chains vs witnesses, and the
     centrality of their cyclic symmetrizations."""
@@ -344,7 +321,7 @@ def battery_complete_sequences(seed: int = 0) -> List[ItemResult]:
         central_ok = True
         for seq in itertools.product(range(n), repeat=n):
             complete = is_complete_sequence(n, seq)
-            if complete != _unit_chain_exists(grading, seq):
+            if complete != unit_chain_exists(grading, seq):
                 agree = False
             witness = complete_sequence_unit_witness(n, seq)
             if complete != (witness is not None):
@@ -360,8 +337,8 @@ def battery_complete_sequences(seed: int = 0) -> List[ItemResult]:
                     witness_ok = False
             if complete:
                 vars = [Var(g, l + 1) for l, g in enumerate(seq)]
-                value = evaluate(cyclic_symmetrization(vars, grading), grading)
-                if not value.is_scalar or value.is_zero:
+                sym = GeneratorInstance("(11)", cyclic_symmetrization(vars, grading), {})
+                if not verify_instance(sym, grading):
                     central_ok = False
         _item(items, f"zn:{n}/definition-vs-units", agree, f"{n ** n} sequences")
         _item(items, f"zn:{n}/witness-valid", witness_ok)

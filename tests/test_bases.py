@@ -8,7 +8,8 @@ import pytest
 
 from gradedpi.grading import is_complete_sequence, parse_grading_spec
 from gradedpi.freealg import Monomial, Polynomial, Var, apply_substitution
-from gradedpi.genericmodel import is_central, is_identity, matrix_unit_oracle
+from gradedpi.genericmodel import is_central, is_identity
+from gradedpi.oracles import matrix_unit_oracle
 from gradedpi.bases import (
     MAX_SCAN_STEPS,
     BasesError,

@@ -26,7 +26,6 @@ from gradedpi.genericmodel import (
     evaluate,
     identity_witness,
     monomial_product,
-    naive_monomial_product,
 )
 from gradedpi.grading import (
     ElementaryGrading,
@@ -35,6 +34,7 @@ from gradedpi.grading import (
     group_from_table,
     parse_grading_spec,
 )
+from gradedpi.oracles import naive_monomial_product
 from gradedpi.rewrite import apply_rule
 from gradedpi.suites import _applicable_rewrites
 

@@ -1,11 +1,16 @@
 """Generic matrices: closed-form products, identity and centrality checks."""
 
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import gradedpi
 from gradedpi.grading import GradingError, parse_grading_spec
 from gradedpi.freealg import (
     Monomial,
@@ -22,10 +27,14 @@ from gradedpi.genericmodel import (
     identity_witness,
     is_central,
     is_identity,
-    make_generic,
-    matrix_unit_oracle,
     monomial_product,
+)
+from gradedpi.oracles import (
+    make_generic,
+    matrix_product,
+    matrix_unit_oracle,
     naive_monomial_product,
+    poly_product,
     units_of_degree,
 )
 
@@ -76,15 +85,16 @@ class TestMonomialProduct:
         a = make_generic(ZN2, 1, 1)
         b = make_generic(ZN2, 1, 2)
         closed = monomial_product(ZN2, mono((1, 1), (1, 2)))
-        assert closed == a * b
-        assert closed.entry(1, 1) == yvar(1, 1, 1) * yvar(1, 2, 2)
-        assert closed.entry(2, 2) == yvar(1, 1, 2) * yvar(1, 2, 1)
+        assert closed == matrix_product(a, b)
+        assert closed.entry(1, 1) == poly_product(yvar(1, 1, 1), yvar(1, 2, 2))
+        assert closed.entry(2, 2) == poly_product(yvar(1, 1, 2), yvar(1, 2, 1))
 
     def test_dead_walk_gives_zero(self):
         assert monomial_product(Z2, mono((1, 1), (1, 2))).is_zero
 
     def test_empty_sequence_gives_identity(self):
-        assert monomial_product(ZN3, Monomial()) == PolyMatrix.identity(3)
+        identity = PolyMatrix(3, {(k, k): SparsePoly.one() for k in range(1, 4)})
+        assert monomial_product(ZN3, Monomial()) == identity
 
     def test_closed_form_equals_naive_everywhere(self, s3_grading):
         rng = random.Random(7)
@@ -344,3 +354,24 @@ class TestWitnesses:
         diag = centrality_witness(parse_polynomial("x[0,1]", ZN2), ZN2)
         assert diag["kind"] == "diag_mismatch"
         assert diag["reference_position"] == [1, 1]
+
+
+def _loads_oracles(*modules):
+    """Whether a fresh interpreter holds ``gradedpi.oracles`` after importing
+    the given modules, from the same source tree as this test process."""
+    code = "".join(f"import {m}\n" for m in modules)
+    code += "import sys\nprint('gradedpi.oracles' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gradedpi.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.strip() == "True"
+
+
+class TestImportBoundary:
+    def test_decision_path_does_not_load_the_oracles(self):
+        modules = ("gradedpi", "gradedpi.genericmodel", "gradedpi.bases", "gradedpi.rewrite")
+        assert not _loads_oracles(*modules)
+
+    def test_suites_load_the_oracles(self):
+        assert _loads_oracles("gradedpi.suites")

@@ -13,6 +13,7 @@ current code must agree with them on every grading kind.
 """
 
 import itertools
+import random
 from types import MappingProxyType
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -635,17 +636,16 @@ def test_products_match_reference(data):
     assert _outcome(new.structure.product, grades) == _outcome(old.structure.product, grades)
 
 
-def _words(data, old, pool, max_size, min_size=0, strays=True):
+def _words(data, old, pool, max_size):
     """A random word: mostly a walk through matrix units of the reference
     grading, so subwords keep nonzero degrees and the rule preconditions
-    hold often, with letters of any pool grade mixed in unless ``strays``
-    is false."""
-    length = data.draw(st.integers(min_size, max_size))
+    hold often, with letters of any pool grade mixed in."""
+    length = data.draw(st.integers(0, max_size))
     row = data.draw(st.integers(1, old.n))
     letters = []
     for _ in range(length):
         nxt = data.draw(st.integers(1, old.n))
-        if strays and data.draw(st.integers(0, 6)) == 0:
+        if data.draw(st.integers(0, 6)) == 0:
             grade = data.draw(st.sampled_from(pool))
         else:
             grade = old.unit_degree(row, nxt)
@@ -689,14 +689,33 @@ def test_classify_matches_reference(data):
     assert classify(m, new) == reference_classify(m, old)
 
 
+def _long_word(seed, old, pool, strays):
+    """A word of 100 to 800 letters by the recipe of ``_words``, built from
+    one seed: drawing every letter through hypothesis would cost more than
+    the classification under test.  Stray letters only if ``strays``."""
+    rng = random.Random(seed)
+    length = rng.randint(100, 800)
+    row = rng.randint(1, old.n)
+    letters = []
+    for _ in range(length):
+        nxt = rng.randint(1, old.n)
+        if strays and rng.randint(0, 6) == 0:
+            grade = rng.choice(pool)
+        else:
+            grade = old.unit_degree(row, nxt)
+            row = nxt
+        letters.append(Var(grade, rng.randint(1, 2)))
+    return Monomial(letters)
+
+
 @pytest.mark.parametrize("name", NAMES)
 @settings(max_examples=6, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_classify_matches_reference_on_long_words(name, data):
+@given(seed=st.integers(0, 2**32 - 1), strays=st.booleans())
+def test_classify_matches_reference_on_long_words(name, seed, strays):
     # prefix values repeat many times over; a long word with stray letters
-    # is rarely support-closed, so half the words are plain walks
+    # is rarely support-closed, so about half the words are plain walks
     old, new, pool = PAIRS[name]
-    m = _words(data, old, pool, 800, min_size=100, strays=data.draw(st.booleans()))
+    m = _long_word(seed, old, pool, strays)
     cls = classify(m, new)
     assert cls == reference_classify(m, old)
     assert cls.support_closed == _support_closed(m.h, new.structure.mul, new.support())
