@@ -509,21 +509,22 @@ def format_monomial(m: Monomial, grading: ElementaryGrading) -> str:
     return _format_word(m, grading)
 
 
-def format_polynomial(f: Polynomial, grading: ElementaryGrading) -> str:
-    """Canonical text form; ``parse_polynomial`` round-trips it."""
-    if f.is_zero:
-        return "0"
+def _signed_sum(terms: Iterable[Tuple[int, str]]) -> str:
+    """``c1*w1 + c2*w2 - ...`` from (coefficient, word text) pairs, a bare
+    magnitude for the empty word ``""``; "0" when there is no pair."""
     parts = []
-    for m, c in f.items_sorted():
+    for c, word in terms:
         mag = abs(c)
-        if not len(m):
-            body = str(mag)
-        elif mag == 1:
-            body = _format_word(m, grading)
-        else:
-            body = f"{mag}*{_format_word(m, grading)}"
+        body = word or str(mag)
+        if word and mag != 1:
+            body = f"{mag}*{word}"
         if not parts:
             parts.append(("-" if c < 0 else "") + body)
         else:
             parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts)
+    return " ".join(parts) or "0"
+
+
+def format_polynomial(f: Polynomial, grading: ElementaryGrading) -> str:
+    """Canonical text form; ``parse_polynomial`` round-trips it."""
+    return _signed_sum((c, _format_word(m, grading)) for m, c in f.items_sorted())

@@ -21,7 +21,7 @@ from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .grading import ElementaryGrading, Grade, GradingError
-from .freealg import Monomial, Polynomial, Var
+from .freealg import Monomial, Polynomial, Var, _signed_sum
 
 #: commuting variable key: (grade, generic matrix index, row)
 YVar = Tuple[Grade, int, int]
@@ -68,24 +68,15 @@ class SparsePoly:
 
     def text(self, grading: ElementaryGrading) -> str:
         """Deterministic text form, used in witness reports."""
-        if self.is_zero:
-            return "0"
         fmt = grading.structure.format_grade
-        parts = []
-        for key, coeff in sorted(self.terms.items()):
-            factors = []
-            for (grade, idx, row), exp in key:
-                name = f"y[{fmt(grade)},{idx},{row}]"
-                factors.append(name if exp == 1 else f"{name}^{exp}")
-            mag = abs(coeff)
-            body = "*".join(factors) if factors else str(mag)
-            if factors and mag != 1:
-                body = f"{mag}*{body}"
-            if not parts:
-                parts.append(("-" if coeff < 0 else "") + body)
-            else:
-                parts.append(("- " if coeff < 0 else "+ ") + body)
-        return " ".join(parts)
+
+        def word(key) -> str:
+            return "*".join(
+                f"y[{fmt(grade)},{idx},{row}]" + ("" if exp == 1 else f"^{exp}")
+                for (grade, idx, row), exp in key
+            )
+
+        return _signed_sum((coeff, word(key)) for key, coeff in sorted(self.terms.items()))
 
     def __repr__(self):
         return f"SparsePoly({len(self.terms)} terms)"

@@ -160,18 +160,6 @@ def _matched_walks(src, dst, targets, n_rows: int):
     return None
 
 
-def _block_kept(block, old_block, row: int, old_path, targets) -> bool:
-    """Whether a rearranged leading block still walks from ``row`` to the
-    row ``old_path`` reached after the old block, visiting every variable
-    at the same rows; the letters after the block are then untouched."""
-    path = _walk_from(targets, [v.grade for v in block], row)
-    return (
-        path is not None
-        and path[-1] == old_path[len(block)]
-        and _same_multiset(zip(block, path), zip(old_block, old_path))
-    )
-
-
 def _rearrangement_steps(grading, base, k1, k2, k3, cur):
     """Steps that bring the block [k2..k3] (suffix-relative) to the front.
 
@@ -208,13 +196,16 @@ def find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Opt
     exactly when no shared nonzero entry exists (except for m = n, which is
     trivially congruent).
 
-    Cost: one row-transition table per call, built from the distinct grades.
-    The shared entry is searched once at the start and once per
-    rearrangement, walking start rows in ascending order up to the first that
-    matches.  Strip steps walk nothing, since a shared entry of two suffixes
-    with equal first letters survives stripping them.  After a rearrangement
-    only the permuted leading block is walked again, from the row of the
-    entry it was aligned through; a full search runs only if that fails.
+    Cost: one row-transition table per call, built from the distinct grades,
+    and one search for the shared entry, at the start.  Its two row paths
+    stay valid to the end: a strip drops the same (variable, row) pair from
+    both suffixes, and a swap or reversal reads every moved letter at the
+    row it had, so the source rows are permuted along with the letters.  The
+    proof is the one a fresh search per rearrangement would give: on group
+    gradings two matching start rows differ by a left multiplication of the
+    row grades, a bijection applied to both paths alike, so the first-in
+    first-out alignment by (variable, row) is the same; on ``mu:`` the first
+    letter fixes the start row.
     """
     if Counter(m.vars) != Counter(n.vars):
         raise RuleError("congruence needs monomials with the same variable multiset")
@@ -222,8 +213,10 @@ def find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Opt
         return CongruenceProof(m, n, ())
     r = len(m)
     targets = {g: grading._target(g) for g in {v.grade for v in m.vars}}
-    if _matched_walks(m.vars, n.vars, targets, grading.n) is None:
+    hit = _matched_walks(m.vars, n.vars, targets, grading.n)
+    if hit is None:
         return None
+    _, src_rows, dst_rows = hit
     steps: List[Step] = []
     cur = m
     base = 0
@@ -233,22 +226,14 @@ def find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Opt
         if guard > 6 * r + 6:
             raise RuntimeError("congruence construction failed to converge")
         if cur.vars[base] == n.vars[base]:
-            # a shared entry of two suffixes survives stripping an equal
-            # first letter, so there is nothing to walk
             base += 1
             continue
-        src = cur.vars[base:]
-        dst = n.vars[base:]
-        hit = _matched_walks(src, dst, targets, grading.n)
-        if hit is None:
-            raise RuntimeError("shared entry lost during congruence construction")
-        k, p_src, p_dst = hit
         # align src positions with dst positions by (variable, row)
         slots: Dict[tuple, deque] = {}
-        for c, key in enumerate(zip(dst, p_dst), 1):
+        for c, key in enumerate(zip(n.vars[base:], dst_rows[base:]), 1):
             slots.setdefault(key, deque()).append(c)
         pos: Dict[int, int] = {}
-        for c, key in enumerate(zip(src, p_src), 1):
+        for c, key in enumerate(zip(cur.vars[base:], src_rows[base:]), 1):
             queue = slots.get(key)
             if not queue:
                 raise RuntimeError("inconsistent alignment despite matching entries")
@@ -265,11 +250,9 @@ def find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Opt
             steps.append(step)
         if cur.vars[base] != n.vars[base]:
             raise RuntimeError("rearrangement did not surface the target variable")
-        # the moves permute only the first k3 letters of the suffix, so the
-        # entry at row k is kept when that block still fits the walk
-        if not _block_kept(cur.vars[base : base + k3], src[:k3], k, p_src, targets):
-            if _matched_walks(cur.vars[base:], dst, targets, grading.n) is None:
-                raise RuntimeError("shared entry lost during congruence construction")
+        # the suffix blocks A B C became C B A, each letter read at its old row
+        a, b, c = base + k1 - 1, base + k2 - 1, base + k3
+        src_rows[base:c] = src_rows[b:c] + src_rows[a:b] + src_rows[base:a]
     if cur != n:
         raise RuntimeError("congruence construction ended on the wrong monomial")
     return CongruenceProof(m, n, tuple(steps))

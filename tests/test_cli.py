@@ -224,7 +224,7 @@ class TestInternalErrors:
     def test_congruence_guard_failure_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "gradedpi.cli.find_congruence",
-            self._raise(RuntimeError("shared entry lost during congruence construction")),
+            self._raise(RuntimeError("inconsistent alignment despite matching entries")),
         )
         code, out, err = run(
             capsys, "congruence", "--grading", "zn:3",
@@ -232,7 +232,7 @@ class TestInternalErrors:
         )
         assert code == 3
         assert out == ""
-        assert err == "internal error: RuntimeError: shared entry lost during congruence construction\n"
+        assert err == "internal error: RuntimeError: inconsistent alignment despite matching entries\n"
 
     def test_library_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -3,7 +3,9 @@
 ``reference_find_congruence`` and ``_reference_matched_walks`` are the
 earlier construction, kept verbatim apart from their names: before every
 strip or rearrangement it walked all start rows of both suffixes through
-``row_walk``.  The current search walks only where the answer can change and
+``row_walk`` and aligned the suffixes through the least matching row.  The
+current construction searches once and carries the source rows along with
+the letters, so it aligns through whatever row the kept paths start at; it
 must produce the same proof, step for step.
 """
 
@@ -172,22 +174,69 @@ def killed_pair(grading, length, rng):
             return Monomial(dead), Monomial(word)
 
 
+KINDS = ["zn:3", "zn:5", "z:3", "mu:3", "s3", "klein"]
+
+
 @pytest.fixture(scope="module")
-def gradings(s3_grading):
+def gradings(s3_grading, klein_file):
     specs = ("zn:3", "zn:5", "z:3", "mu:3")
-    return {**{spec: parse_grading_spec(spec) for spec in specs}, "s3": s3_grading}
+    return {
+        **{spec: parse_grading_spec(spec) for spec in specs},
+        "s3": s3_grading,
+        "klein": parse_grading_spec(f"group:{klein_file}:e,a,b"),
+    }
 
 
-@pytest.mark.parametrize("name", ["zn:3", "zn:5", "z:3", "mu:3", "s3"])
+@pytest.mark.parametrize("name", KINDS)
 def test_same_proof_as_reference(gradings, name):
     grading = gradings[name]
     rng = random.Random(f"congruence-reference:{name}")
     for length in (48, 96, 192, 384):
         m, n = congruent_pair(grading, length, rng)
-        proof = find_congruence(m, n, grading)
-        assert proof is not None
-        assert proof.steps == reference_find_congruence(m, n, grading).steps
-        assert replay(proof, grading) == n
+        for src, dst in ((m, n), (n, m)):
+            proof = find_congruence(src, dst, grading)
+            assert proof is not None
+            assert proof.steps == reference_find_congruence(src, dst, grading).steps
+            assert replay(proof, grading) == dst
+
+
+def _fifo_alignment(src, dst, p_src, p_dst):
+    """The dst position each src position is matched with, first in first
+    out among equal (variable, row) keys."""
+    slots: Dict[tuple, deque] = {}
+    for c, key in enumerate(zip(dst, p_dst)):
+        slots.setdefault(key, deque()).append(c)
+    return tuple(slots[key].popleft() for key in zip(src, p_src))
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_every_matching_start_row_gives_one_alignment(gradings, name):
+    # the suffix pairs the construction aligns: at every intermediate
+    # monomial, from the first position where it differs from the target
+    grading = gradings[name]
+    rng = random.Random(f"alignment:{name}")
+    several = 0
+    for length in (24, 48, 96) * 4:
+        m, n = congruent_pair(grading, length, rng)
+        cur = m
+        for step in find_congruence(m, n, grading).steps:
+            base = next(i for i in range(length) if cur.vars[i] != n.vars[i])
+            src, dst = cur.vars[base:], n.vars[base:]
+            w1 = grading.row_walk([v.grade for v in src])
+            w2 = grading.row_walk([v.grade for v in dst])
+            alignments = []
+            for k in w1.rows:
+                p1, p2 = w1.paths[k], w2.paths.get(k)
+                if p2 is None or p1[-1] != p2[-1]:
+                    continue
+                if Counter(zip(src, p1)) == Counter(zip(dst, p2)):
+                    alignments.append(_fifo_alignment(src, dst, p1, p2))
+            assert alignments and len(set(alignments)) == 1
+            several += len(alignments) > 1
+            cur = apply_rule(cur, step.rule, step.window, grading)
+    # on mu: the first letter fixes the start row; group kinds meet suffixes
+    # that several rows admit
+    assert (several == 0) == (name == "mu:3")
 
 
 @pytest.mark.parametrize("name,length", [("z:3", 48), ("z:3", 192), ("mu:3", 48), ("mu:3", 192)])
@@ -199,24 +248,34 @@ def test_killed_pairs_have_no_proof(gradings, name, length):
     assert find_congruence(n, m, grading) is None
 
 
-def test_full_scan_fallback_after_a_rearrangement(gradings, monkeypatch):
-    # the block-local check after a rearrangement defers to a full search,
-    # which finds the same proof or raises exactly as the earlier guard did
+def test_relabelled_source_rows_are_caught(gradings, monkeypatch):
+    # the kept rows are trusted to the end; rows that do not fit the
+    # letters break the alignment instead of giving a wrong proof
     grading = gradings["zn:3"]
-    m, n = congruent_pair(grading, 96, random.Random("fallback"))
-    expected = reference_find_congruence(m, n, grading)
-    monkeypatch.setattr(rewrite, "_block_kept", lambda *args: False)
-    assert find_congruence(m, n, grading) == expected
+    m, n = congruent_pair(grading, 96, random.Random("relabelled"))
+    real = rewrite._matched_walks
+
+    def relabelled(*args):
+        k, p_src, p_dst = real(*args)
+        return k, [row % grading.n + 1 for row in p_src], p_dst
+
+    monkeypatch.setattr(rewrite, "_matched_walks", relabelled)
+    with pytest.raises(RuntimeError, match="inconsistent alignment despite matching entries"):
+        find_congruence(m, n, grading)
+
+
+def test_one_shared_entry_search_per_call(gradings, monkeypatch):
+    grading = gradings["zn:5"]
+    m, n = congruent_pair(grading, 96, random.Random("one-search"))
     real = rewrite._matched_walks
     calls = []
 
-    def fallback_finds_nothing(*args):
-        # the search at the start and the one at the first rearrangement run
-        # as usual; the third search is the fallback after that rearrangement
+    def counted(*args):
         calls.append(args)
-        return real(*args) if len(calls) < 3 else None
+        return real(*args)
 
-    monkeypatch.setattr(rewrite, "_matched_walks", fallback_finds_nothing)
-    with pytest.raises(RuntimeError, match="shared entry lost"):
-        find_congruence(m, n, grading)
-    assert len(calls) == 3
+    monkeypatch.setattr(rewrite, "_matched_walks", counted)
+    proof = find_congruence(m, n, grading)
+    assert len(proof.steps) > 1
+    assert replay(proof, grading) == n
+    assert len(calls) == 1

@@ -6,16 +6,22 @@ complete-sequences`` before the complete sequences were built from their
 partial sums instead of filtered.  A refactor that changes a single byte of
 these reports fails here.  ``basis zp:7 central``, refused by the filter, was
 recorded after its family (11) sequences were checked once against the
-filter run at n = 7.  Paths of Cayley table files are replaced by
-``<klein>`` before hashing, since a fixture file lives in a fresh temporary
-directory.
+filter run at n = 7.  The ``congruence`` reports were recorded before the
+proof construction stopped searching for the shared entry again after every
+rearrangement; each pair is built with ``congruent_pair`` from a fixed seed
+string.  Paths of Cayley table files are replaced by ``<klein>`` before
+hashing, since a fixture file lives in a fresh temporary directory.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from gradedpi.cli import main
+from gradedpi.freealg import format_monomial
+from gradedpi.grading import parse_grading_spec
+from test_congruence_reference import congruent_pair
 
 GOLDEN = {
     ("verify", "text"): "ad616c76d988f2b6",
@@ -42,6 +48,10 @@ GOLDEN = {
     ("basis mu:3 identities", "json"): "a0b8fa77a1881170",
     ("basis klein identities", "text"): "85fd4d2cd997f1cc",
     ("basis klein identities", "json"): "1129b493551169f5",
+    ("congruence zn:5 384", "text"): "65a792469e94da64",
+    ("congruence zn:5 384", "json"): "1d38eda098c2a2fb",
+    ("congruence mu:3 192", "text"): "b47d440d4e9acd77",
+    ("congruence mu:3 192", "json"): "2b823944229aea0d",
 }
 
 
@@ -49,6 +59,11 @@ def _argv(case, fmt, klein_spec):
     if case == "verify":
         return ["verify", "--suite", "all", "--seed", "0", "--format", fmt]
     command, spec, kind = case.split()
+    if command == "congruence":
+        grading = parse_grading_spec(spec)
+        pair = congruent_pair(grading, int(kind), random.Random(f"golden:{spec}:{kind}"))
+        polys = [arg for m in pair for arg in ("--poly", format_monomial(m, grading))]
+        return [command, "--grading", spec, *polys, "--format", fmt]
     spec = klein_spec if spec == "klein" else spec
     option = "--kind" if command == "basis" else "--what"
     return [command, "--grading", spec, option, kind, "--format", fmt]

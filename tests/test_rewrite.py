@@ -18,7 +18,6 @@ from gradedpi.rewrite import (
     RuleError,
     SWAP_NEUTRAL,
     Step,
-    _block_kept,
     apply_rule,
     find_congruence,
     proof_from_json,
@@ -171,20 +170,6 @@ class TestFindCongruence:
             proof = find_congruence(m, n, ZN2)
             assert proof is not None
             assert replay(proof, ZN2) == n
-
-    def test_block_check_after_a_rearrangement(self):
-        # the block must walk from the same row to the same row and visit
-        # every variable at the same rows as the block it replaced
-        targets = {1: ZN3.degree_rows(1).target}
-        old = mono((1, 1), (1, 2), (1, 3)).vars
-        path = [1, 2, 3, 1]
-        assert _block_kept(old, old, 1, path, targets)
-        assert not _block_kept(mono((1, 3), (1, 2), (1, 1)).vars, old, 1, path, targets)
-        # over z:3 no unit of degree 1 starts at row 3, so that walk dies
-        targets = {1: Z3.degree_rows(1).target}
-        old = mono((1, 1), (1, 2)).vars
-        assert _block_kept(old, old, 1, [1, 2, 3], targets)
-        assert not _block_kept(old, old, 3, [3, 4, 5], targets)
 
     def test_positional_congruence(self):
         m = mono(((1, 2), 1), ((2, 1), 2), ((1, 2), 3))
