@@ -18,10 +18,10 @@ entries it reaches.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 from .grading import ElementaryGrading, Grade, GradingError
-from .freealg import Monomial, Polynomial, Var, _signed_sum
+from .freealg import Monomial, Polynomial, _signed_sum
 
 #: commuting variable key: (grade, generic matrix index, row)
 YVar = Tuple[Grade, int, int]
@@ -137,19 +137,6 @@ class PolyMatrix:
         return f"PolyMatrix({self.n}x{self.n})"
 
 
-def _as_pairs(vars: Union[Monomial, Iterable]) -> List[Tuple[Grade, int]]:
-    if isinstance(vars, Monomial):
-        return [(v.grade, v.index) for v in vars.vars]
-    out = []
-    for item in vars:
-        if isinstance(item, Var):
-            out.append((item.grade, item.index))
-        else:
-            grade, index = item
-            out.append((grade, index))
-    return out
-
-
 def _add_word(
     acc: Dict[Position, Dict[tuple, int]],
     grading: ElementaryGrading,
@@ -206,15 +193,15 @@ def _matrix(n: int, acc: Dict[Position, Dict[tuple, int]]) -> PolyMatrix:
     return PolyMatrix(n, {pos: SparsePoly(cell) for pos, cell in acc.items()})
 
 
-def monomial_product(grading: ElementaryGrading, vars: Union[Monomial, Iterable]) -> PolyMatrix:
-    """Closed-form product of generic matrices along a variable sequence.
+def monomial_product(grading: ElementaryGrading, m: Monomial) -> PolyMatrix:
+    """Closed-form product of generic matrices along the letters of ``m``.
 
     For each surviving row walk k the product carries a single term
     y[h_1,i_1,row_1] * ... * y[h_q,i_q,row_q] at position (k, final row).
-    The empty sequence gives the identity matrix.
+    The empty word gives the identity matrix.
     """
     acc: Dict[Position, Dict[tuple, int]] = {}
-    _add_word(acc, grading, {}, _as_pairs(vars), 1)
+    _add_word(acc, grading, {}, m.vars, 1)
     return _matrix(grading.n, acc)
 
 

@@ -14,6 +14,7 @@ carries ``transpose`` of the degree of e_ij.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -35,8 +36,8 @@ MAX_MATRIX_SIZE = 512
 
 #: most complete sequences ``enumerate_complete_sequences`` lists: the
 #: (n-1)! residue sequences up to n = 8, or the n! integer lifts up to n = 7.
-#: The count is known from n alone, so a longer list is refused before the
-#: search starts.
+#: The count is known from n alone, so a longer list is refused before any
+#: is built.
 MAX_COMPLETE_SEQUENCES = 5040
 
 
@@ -490,11 +491,12 @@ def complete_sequence_unit_witness(n: int, seq: Sequence[int]) -> Optional[Tuple
 
 
 def enumerate_complete_sequences(n: int, lift: bool = False) -> list:
-    """All complete length-n sequences, built from their partial sums.
+    """All complete length-n sequences, as the steps of their partial sums.
 
     A residue sequence x_1..x_n is complete exactly when its partial sums
     s_1, ..., s_(n-1) are the nonzero residues in some order (s_n = 0 then
-    follows), so there are (n-1)! of them.
+    follows).  So each permutation of 1..n-1 gives one sequence, with steps
+    x_i = s_i - s_(i-1) mod n and s_0 = s_n = 0, and there are (n-1)! of them.
 
     With ``lift`` the sequences are the integer lifts of family (15): steps
     from (-n, n) that sum to 0 and reduce to a complete residue sequence.  A
@@ -504,41 +506,24 @@ def enumerate_complete_sequences(n: int, lift: bool = False) -> list:
     at most n - 1, so that some row walk survives it; every rotation shifts
     those sums by a constant, so the span decides the whole symmetrization.
     n distinct integers spanning at most n - 1 fill a window of n
-    consecutive integers, one of n windows around 0, so there are n! lifts.
+    consecutive integers, one of n windows around 0.  So each permutation of
+    a window's nonzero members gives one lift, with integer steps: (n-1)!
+    per window, n! in all.
 
-    A depth-first search tries the steps in ascending order and extends a
-    prefix only with a step whose partial sum is new and keeps the span
-    below n.  Every such prefix completes, and the last step is forced, so
-    the search yields each sequence once, in lexicographic order, without
-    visiting a dead end.  More than ``MAX_COMPLETE_SEQUENCES`` sequences are
-    refused before it starts.
+    One sort lists the sequences in lexicographic order.  More than
+    ``MAX_COMPLETE_SEQUENCES`` sequences are refused before any is built.
     """
     if math.factorial(n if lift else n - 1) > MAX_COMPLETE_SEQUENCES:
         raise GradingError(
             f"refusing to enumerate the complete sequences of length {n}: "
             f"there are more than {MAX_COMPLETE_SEQUENCES}"
         )
-    steps = range(-(n - 1), n) if lift else range(n)
-    prefix: list = []
-    used = {0}
-    out = []
-
-    def extend(acc: int, lo: int, hi: int) -> None:
-        if len(prefix) == n - 1:
-            out.append((*prefix, -acc if lift else -acc % n))
-            return
-        for x in steps:
-            s = acc + x if lift else (acc + x) % n
-            if s in used or max(hi, s) - min(lo, s) >= n:
-                continue
-            prefix.append(x)
-            used.add(s)
-            extend(s, min(lo, s), max(hi, s))
-            used.discard(s)
-            prefix.pop()
-
-    extend(0, 0, 0)
-    return out
+    windows = [range(w, w + n) for w in range(1 - n, 1)] if lift else [range(n)]
+    return sorted(
+        tuple(b - a if lift else (b - a) % n for a, b in zip((0, *sums), (*sums, 0)))
+        for window in windows
+        for sums in itertools.permutations([s for s in window if s])
+    )
 
 
 # -- grading spec strings -------------------------------------------------------

@@ -16,11 +16,11 @@ walks:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 from .grading import ElementaryGrading, Grade, GradingError
 from .freealg import Monomial, Polynomial, Var
-from .genericmodel import PolyMatrix, Position, SparsePoly, _as_pairs
+from .genericmodel import PolyMatrix, Position, SparsePoly
 
 
 def poly_product(a: SparsePoly, b: SparsePoly) -> SparsePoly:
@@ -62,11 +62,11 @@ def make_generic(grading: ElementaryGrading, h: Grade, i: int) -> PolyMatrix:
     )
 
 
-def naive_monomial_product(grading: ElementaryGrading, vars: Union[Monomial, Iterable]) -> PolyMatrix:
+def naive_monomial_product(grading: ElementaryGrading, m: Monomial) -> PolyMatrix:
     """Iterated matrix multiplication from the identity matrix; the
     independent cross-check for the closed form."""
     acc = PolyMatrix(grading.n, {(k, k): SparsePoly.one() for k in range(1, grading.n + 1)})
-    for h, i in _as_pairs(vars):
+    for h, i in m.vars:
         acc = matrix_product(acc, make_generic(grading, h, i))
     return acc
 

@@ -15,6 +15,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 from .grading import (
     ElementaryGrading,
     INTEGERS,
+    MU_ZERO,
     complete_sequence_unit_witness,
     is_complete_sequence,
     parse_grading_spec,
@@ -527,7 +528,7 @@ def battery_positional_basis(seed: int = 0) -> List[ItemResult]:
     grading = parse_grading_spec("mu:2")
     found = list(enumerate_monomial_identities(grading, 3))
     expected_ok = all(
-        m.degree(grading) == (0, 0)
+        m.degree(grading) == MU_ZERO
         and matrix_unit_oracle(Polynomial.from_monomial(m), grading)
         for m in found
     )
@@ -536,7 +537,7 @@ def battery_positional_basis(seed: int = 0) -> List[ItemResult]:
     for d in range(1, 4):
         for hs in itertools.product(supp, repeat=d):
             mono = canonical_monomial(hs)
-            ident = not grading.row_walk(hs).rows
+            ident = mono.degree(grading) == MU_ZERO
             if ident != (mono in found):
                 complete_ok = False
     _item(

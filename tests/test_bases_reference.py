@@ -10,7 +10,9 @@ their names: the central families (8)/(9) and (12)-(14) wrote their
 commutator, reversal and kill polynomials by hand, family (4) built a
 canonical monomial for every degree tuple, every family carried its own
 expectation, and the complete sequences of families (11) and (15) were
-filtered from all n**n residue tuples and all (2n-1)**n integer lifts.  The
+filtered from all n**n residue tuples and all (2n-1)**n integer lifts.
+``reference_search_sequences`` is the depth-first search over new partial
+sums that replaced those filters, also kept verbatim apart from its name.  The
 library must emit the same instances, with the same parameters, truncation
 flags and verdicts, and the same sequences in the same order.  Family (4)
 filters with ``reference_classify``, the earlier classification, so it does
@@ -18,6 +20,7 @@ not lean on the library's ``classify``.
 """
 
 import itertools
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
@@ -46,6 +49,7 @@ from gradedpi.grading import (
     GradingError,
     INTEGERS,
     MATRIX_UNITS,
+    MAX_COMPLETE_SEQUENCES,
     MU_ZERO,
     _is_prime,
     enumerate_complete_sequences,
@@ -185,6 +189,58 @@ def reference_lift_sequences(n: int) -> list:
     return [seq for seq in itertools.product(window, repeat=n) if _is_reference_lift(n, seq)]
 
 
+def reference_search_sequences(n: int, lift: bool = False) -> list:
+    """All complete length-n sequences, built from their partial sums.
+
+    A residue sequence x_1..x_n is complete exactly when its partial sums
+    s_1, ..., s_(n-1) are the nonzero residues in some order (s_n = 0 then
+    follows), so there are (n-1)! of them.
+
+    With ``lift`` the sequences are the integer lifts of family (15): steps
+    from (-n, n) that sum to 0 and reduce to a complete residue sequence.  A
+    lift with a nonzero integer sum ends every row walk off its start by a
+    multiple of n, so its symmetrization is an identity.  A sum-zero lift is
+    properly central exactly when its partial sums 0, s_1, ..., s_(n-1) span
+    at most n - 1, so that some row walk survives it; every rotation shifts
+    those sums by a constant, so the span decides the whole symmetrization.
+    n distinct integers spanning at most n - 1 fill a window of n
+    consecutive integers, one of n windows around 0, so there are n! lifts.
+
+    A depth-first search tries the steps in ascending order and extends a
+    prefix only with a step whose partial sum is new and keeps the span
+    below n.  Every such prefix completes, and the last step is forced, so
+    the search yields each sequence once, in lexicographic order, without
+    visiting a dead end.  More than ``MAX_COMPLETE_SEQUENCES`` sequences are
+    refused before it starts.
+    """
+    if math.factorial(n if lift else n - 1) > MAX_COMPLETE_SEQUENCES:
+        raise GradingError(
+            f"refusing to enumerate the complete sequences of length {n}: "
+            f"there are more than {MAX_COMPLETE_SEQUENCES}"
+        )
+    steps = range(-(n - 1), n) if lift else range(n)
+    prefix: list = []
+    used = {0}
+    out = []
+
+    def extend(acc: int, lo: int, hi: int) -> None:
+        if len(prefix) == n - 1:
+            out.append((*prefix, -acc if lift else -acc % n))
+            return
+        for x in steps:
+            s = acc + x if lift else (acc + x) % n
+            if s in used or max(hi, s) - min(lo, s) >= n:
+                continue
+            prefix.append(x)
+            used.add(s)
+            extend(s, min(lo, s), max(hi, s))
+            used.discard(s)
+            prefix.pop()
+
+    extend(0, 0, 0)
+    return out
+
+
 def reference_build_basis(
     grading: ElementaryGrading, kind: str, cutoff: Optional[int] = None
 ) -> BasisInstances:
@@ -313,6 +369,12 @@ def test_residue_sequences_match_reference(n):
 @pytest.mark.parametrize("n", range(1, 6))
 def test_lift_sequences_match_reference(n):
     assert enumerate_complete_sequences(n, lift=True) == reference_lift_sequences(n)
+
+
+@pytest.mark.parametrize("lift, n", [(False, n) for n in range(1, 9)] + [(True, n) for n in range(1, 8)])
+def test_sequences_match_the_search(n, lift):
+    # every length up to the MAX_COMPLETE_SEQUENCES cap, in both modes
+    assert enumerate_complete_sequences(n, lift=lift) == reference_search_sequences(n, lift=lift)
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ must produce the same proof, step for step.
 """
 
 import random
+import sys
 from collections import Counter, deque
 from typing import Dict, List, Optional
 
@@ -156,14 +157,26 @@ def _walk_word(grading, length, rng):
     return word, rows[0]
 
 
+#: failed moves in a row after which a walk word is redrawn: a word that
+#: admits no swap and no reversal would otherwise be retried forever.  The
+#: pairs the suite draws never fail more than 7 times in a row, so none of
+#: them is redrawn.
+FAILED_MOVES_BEFORE_REDRAW = 1000
+
+
 def congruent_pair(grading, length, rng):
-    word, start = _walk_word(grading, length, rng)
-    dst = list(word)
-    moves = 0
-    while moves < length // 2 or dst == word:
-        if (_swap if rng.random() < 0.5 else _reverse)(dst, _rows(grading, dst, start), rng):
-            moves += 1
-    return Monomial(word), Monomial(dst)
+    while True:
+        word, start = _walk_word(grading, length, rng)
+        dst = list(word)
+        moves = failed = 0
+        while failed < FAILED_MOVES_BEFORE_REDRAW:
+            if moves >= length // 2 and dst != word:
+                return Monomial(word), Monomial(dst)
+            if (_swap if rng.random() < 0.5 else _reverse)(dst, _rows(grading, dst, start), rng):
+                moves += 1
+                failed = 0
+            else:
+                failed += 1
 
 
 def killed_pair(grading, length, rng):
@@ -198,6 +211,27 @@ def test_same_proof_as_reference(gradings, name):
             assert proof is not None
             assert proof.steps == reference_find_congruence(src, dst, grading).steps
             assert replay(proof, grading) == dst
+
+
+def test_short_pairs_redraw_a_word_without_moves(gradings, monkeypatch):
+    # the 7th draw, 8 letters, admits no swap and no reversal; it used to
+    # be retried forever
+    grading = gradings["zn:5"]
+    rng = random.Random("alignment:zn:5")
+    real = _walk_word
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sys.modules[__name__], "_walk_word", counted)
+    lengths = (8, 12, 16, 24, 48, 96) * 2
+    for length in lengths:
+        m, n = congruent_pair(grading, length, rng)
+        assert m != n and len(m) == len(n) == length
+        assert replay(find_congruence(m, n, grading), grading) == n
+    assert len(draws) > len(lengths)
 
 
 def _fifo_alignment(src, dst, p_src, p_dst):

@@ -21,7 +21,6 @@ from conftest import KLEIN_TABLE
 from gradedpi.freealg import Monomial, Polynomial, Var
 from gradedpi.genericmodel import (
     SparsePoly,
-    _as_pairs,
     centrality_witness,
     evaluate,
     identity_witness,
@@ -83,7 +82,7 @@ class DensePolyMatrix:
 
 
 def reference_monomial_product(grading: ElementaryGrading, vars: Union[Monomial, Iterable]) -> DensePolyMatrix:
-    pairs = _as_pairs(vars)
+    pairs = vars.vars
     n = grading.n
     if not pairs:
         return DensePolyMatrix.identity(n)
