@@ -9,8 +9,13 @@ recorded after its family (11) sequences were checked once against the
 filter run at n = 7.  The ``congruence`` reports were recorded before the
 proof construction stopped searching for the shared entry again after every
 rearrangement; each pair is built with ``congruent_pair`` from a fixed seed
-string.  Paths of Cayley table files are replaced by ``<klein>`` before
-hashing, since a fixture file lives in a fresh temporary directory.
+string.  The ``check-identity``, ``check-central`` and ``enumerate --what
+monomial-identities`` reports, and the error lines of malformed inputs, were
+recorded before ``evaluate`` and ``monomial_product`` were folded into one
+row walk; their polynomials reach every witness kind on zn:3, z:3, mu:2 and
+the Klein group, and one has a constant term.  Paths of Cayley table files
+are replaced by ``<klein>`` before hashing, since a fixture file lives in a
+fresh temporary directory.
 """
 
 import hashlib
@@ -52,27 +57,96 @@ GOLDEN = {
     ("congruence zn:5 384", "json"): "1d38eda098c2a2fb",
     ("congruence mu:3 192", "text"): "b47d440d4e9acd77",
     ("congruence mu:3 192", "json"): "2b823944229aea0d",
+    ("check-identity zn:3", "text"): "7624944d8210fc44",
+    ("check-identity zn:3", "json"): "b39a9d749385b6e7",
+    ("check-central zn:3", "text"): "0c2da7a791d76616",
+    ("check-central zn:3", "json"): "f22065ed7df80f73",
+    ("check-identity z:3", "text"): "658c21d70da7883a",
+    ("check-identity z:3", "json"): "09de2203fdff2ee0",
+    ("check-central z:3", "text"): "a9bbdc0c7dd57e9b",
+    ("check-central z:3", "json"): "0c46243481332624",
+    ("check-identity mu:2", "text"): "d08f17a388388cb7",
+    ("check-identity mu:2", "json"): "d54786c384cd0cb0",
+    ("check-central mu:2", "text"): "d19242a00ca94769",
+    ("check-central mu:2", "json"): "cc797eb347f5ff16",
+    ("check-identity klein", "text"): "2fecebf57d2c2867",
+    ("check-identity klein", "json"): "66b74ccede9f0dab",
+    ("check-central klein", "text"): "5befe10228478727",
+    ("check-central klein", "json"): "264dafb3bad80fed",
+    ("enumerate zn:3 monomial-identities", "text"): "96f8fb0eae072310",
+    ("enumerate zn:3 monomial-identities", "json"): "7d19e7010a838a0f",
+    ("enumerate z:3 monomial-identities", "text"): "0619152fa95c58be",
+    ("enumerate z:3 monomial-identities", "json"): "b46ea297bf2e34ec",
+    ("enumerate mu:2 monomial-identities", "text"): "18f43c8ebbc45d78",
+    ("enumerate mu:2 monomial-identities", "json"): "e392e7ad367a9c7a",
+    ("enumerate klein monomial-identities", "text"): "7b912843a37dceba",
+    ("enumerate klein monomial-identities", "json"): "4dfc5161d2d45d71",
+}
+
+#: --poly arguments of the pinned check reports; each report holds a false
+#: verdict, so it exits 1
+POLYS = {
+    "check-identity zn:3": (
+        "x[0,1]*x[0,2] - x[0,2]*x[0,1]",
+        "x[1,1]*x[2,1] - x[2,1]*x[1,1]",
+        "3 + x[0,1]*x[0,2] - x[0,2]*x[0,1]",
+    ),
+    "check-central zn:3": ("x[1,1]^3", "x[1,1]", "x[1,1]*x[1,2]*x[1,3]", "x[0,1]"),
+    "check-identity z:3": ("x[3,1]", "x[1,1]*x[-1,2] - x[-1,2]*x[1,1]"),
+    "check-central z:3": (
+        "x[1,1]*x[1,2]*x[-2,3] + x[1,2]*x[-2,3]*x[1,1] + x[-2,3]*x[1,1]*x[1,2]",
+        "x[1,1]*x[1,2]*x[-1,1]",
+        "x[1,1]*x[-1,2] + x[-1,2]*x[1,1]",
+    ),
+    "check-identity mu:2": ("x[0,1]", "x[(1,2),1]*x[(1,2),2]", "x[(1,2),1]*x[(2,1),2]"),
+    "check-central mu:2": (
+        "x[(1,2),1]*x[(2,1),2] + x[(2,1),2]*x[(1,2),1]",
+        "x[(1,2),1]",
+        "x[(1,1),1]",
+    ),
+    "check-identity klein": ("x[0,1]*x[0,2] - x[0,2]*x[0,1]", "x[1,1]*x[2,1]*x[3,1]", "x[3,1]"),
+    "check-central klein": ("x[0,1]*x[0,2] - x[0,2]*x[0,1]", "x[1,1]^2", "x[3,1]"),
+}
+
+#: error lines of malformed polynomials under zn:3, each exiting 2
+MALFORMED = {
+    "x[(1,2),1]": "error: pair grades are only valid under a matrix-position grading (at position 2)",
+    "x[1,1": "error: expected ']' (at position 5)",
+    "x[1,1]^": "error: expected a number (at position 7)",
+    "x[1,0]": "error: variable index must be at least 1 (at position 4)",
+    "x[1,1]^4097": "error: term degree exceeds the limit 4096 (at position 0)",
 }
 
 
 def _argv(case, fmt, klein_spec):
     if case == "verify":
         return ["verify", "--suite", "all", "--seed", "0", "--format", fmt]
-    command, spec, kind = case.split()
+    command, spec, *kind = case.split()
     if command == "congruence":
         grading = parse_grading_spec(spec)
-        pair = congruent_pair(grading, int(kind), random.Random(f"golden:{spec}:{kind}"))
+        pair = congruent_pair(grading, int(kind[0]), random.Random(f"golden:{spec}:{kind[0]}"))
         polys = [arg for m in pair for arg in ("--poly", format_monomial(m, grading))]
         return [command, "--grading", spec, *polys, "--format", fmt]
     spec = klein_spec if spec == "klein" else spec
+    if case in POLYS:
+        polys = [arg for text in POLYS[case] for arg in ("--poly", text)]
+        return [command, "--grading", spec, *polys, "--format", fmt]
     option = "--kind" if command == "basis" else "--what"
-    return [command, "--grading", spec, option, kind, "--format", fmt]
+    return [command, "--grading", spec, option, kind[0], "--format", fmt]
 
 
 @pytest.mark.parametrize("case, fmt", sorted(GOLDEN), ids=lambda x: str(x))
 def test_output_digest(case, fmt, capsys, klein_file):
     klein_spec = f"group:{klein_file}:e,a,b"
-    assert main(_argv(case, fmt, klein_spec)) == 0
+    assert main(_argv(case, fmt, klein_spec)) == (1 if case in POLYS else 0)
     out = capsys.readouterr().out.replace(klein_file, "<klein>")
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()[:16]
     assert digest == GOLDEN[case, fmt]
+
+
+@pytest.mark.parametrize("poly", sorted(MALFORMED))
+def test_malformed_input_error_line(poly, capsys):
+    assert main(["check-identity", "--grading", "zn:3", "--poly", poly]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == MALFORMED[poly] + "\n"
