@@ -10,19 +10,19 @@ identity and central-polynomial generator families.
 """
 
 from .grading import (
+    CyclicGroup,
     ElementaryGrading,
     GradingError,
     GradingStructure,
+    IntegerGroup,
     MAX_COMPLETE_SEQUENCES,
     MAX_MATRIX_SIZE,
     MU_ZERO,
+    MatrixUnitSemigroup,
+    TableGroup,
     complete_sequence_unit_witness,
-    cyclic_group,
     enumerate_complete_sequences,
-    group_from_table,
-    integers,
     is_complete_sequence,
-    matrix_unit_semigroup,
     parse_grading_spec,
 )
 from .freealg import (

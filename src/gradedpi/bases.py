@@ -66,16 +66,12 @@ class BasisInstances:
     truncated: bool
 
 
-def _mono(*vars: Var) -> Monomial:
-    return Monomial(vars)
-
-
 def _commutator(a: Var, b: Var) -> Polynomial:
-    return Polynomial({_mono(a, b): 1, _mono(b, a): -1})
+    return Polynomial({Monomial((a, b)): 1, Monomial((b, a)): -1})
 
 
 def _reversal(a: Var, b: Var, c: Var) -> Polynomial:
-    return Polynomial({_mono(a, b, c): 1, _mono(c, b, a): -1})
+    return Polynomial({Monomial((a, b, c)): 1, Monomial((c, b, a)): -1})
 
 
 def canonical_monomial(hs: Sequence[Grade]) -> Monomial:
@@ -234,12 +230,12 @@ def _central_power_family(grading: ElementaryGrading) -> List[GeneratorInstance]
     if p == 2:
         z1, z2 = Var(1, 1), Var(1, 2)
         out.append(
-            GeneratorInstance("(10)", Polynomial.from_monomial(_mono(z1, z1)), {"shape": "z1^2"})
+            GeneratorInstance("(10)", Polynomial.from_monomial(Monomial((z1, z1))), {"shape": "z1^2"})
         )
         out.append(
             GeneratorInstance(
                 "(10)",
-                Polynomial.from_monomial(_mono(z1, z1, z2, z2)),
+                Polynomial.from_monomial(Monomial((z1, z1, z2, z2))),
                 {"shape": "z1^2*z2^2"},
             )
         )

@@ -6,19 +6,19 @@ the matrix algebra over any infinite integral domain iff its generic
 evaluation is the zero matrix, and central iff the evaluation is scalar; both
 checks are exact integer polynomial comparisons.
 
-Monomial evaluations are computed in closed form from the row walks of the
-degree sequence rather than by iterated matrix multiplication; the naive
-product, the independent cross-check, lives in ``gradedpi.oracles`` with the
-other brute-force oracles, and this module does no matrix arithmetic.
-Matrices are sparse: only nonzero entries are stored, and a polynomial is
-evaluated by walking each term once and merging its coefficient into the
-entries it reaches.
+One routine walks words, in closed form from the row walks of their degree
+sequences rather than by iterated matrix multiplication: ``evaluate`` hands
+it a polynomial's terms, ``monomial_product`` a single word with coefficient
+1.  Each word is walked once and its coefficient merged into the sparse
+entries it reaches; the empty word (a constant term) stays on every row, so
+it lands on the diagonal.  The naive product, the independent cross-check,
+lives in ``gradedpi.oracles``; this module does no matrix arithmetic.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .grading import ElementaryGrading, Grade, GradingError
 from .freealg import Monomial, Polynomial, _signed_sum
@@ -129,67 +129,45 @@ class PolyMatrix:
                 return (k, k)
         return None
 
-    def nonzero_positions(self):
-        """Nonzero entry positions, 1-based, in row-major order."""
-        return iter(sorted(self.cells))
-
     def __repr__(self):
         return f"PolyMatrix({self.n}x{self.n})"
 
 
-def _add_word(
-    acc: Dict[Position, Dict[tuple, int]],
-    grading: ElementaryGrading,
-    tables: Dict[Grade, Dict[int, int]],
-    pairs: Sequence[Tuple[Grade, int]],
-    coeff: int,
-) -> None:
-    """Add coeff times the closed-form product of a word to ``acc``.
+def _walk_words(grading: ElementaryGrading, terms: Iterable[Tuple[Monomial, int]]) -> PolyMatrix:
+    """Sum of coeff times the closed-form product of each word in ``terms``.
 
-    The product has one entry per row walk that survives the word: walking
-    from row k (a row admitting the first letter) to the final row, it is
-    y[h_1,i_1,row_1] * ... * y[h_q,i_q,row_q] at position (k, final row).
-    ``pairs`` holds (grade, index) pairs, such as ``Var``s; ``tables`` caches
-    each grade's row map for the caller.  The empty word is the identity
-    matrix.
+    ``terms`` holds (monomial, coefficient) pairs.  A word's product has one
+    entry per row walk that survives it: walking from row k (a row admitting
+    the first letter) to the final row, it is y[h_1,i_1,row_1] * ... *
+    y[h_q,i_q,row_q] at position (k, final row).  The empty word starts from
+    every row and survives to the same row with key (), the identity matrix.
+    Each coefficient is merged straight into its entry; cancelled keys are
+    dropped when the entries are wrapped.
     """
-    if not pairs:
-        for k in range(1, grading.n + 1):
-            _add_term(acc, (k, k), (), coeff)
-        return
-    letters = []
-    for h, i in pairs:
-        table = tables.get(h)
-        if table is None:
-            table = tables[h] = grading._target(h)
-        letters.append((h, i, table))
-    for start in letters[0][2]:
-        cur = start
-        powers: Dict[YVar, int] = {}
-        for h, i, table in letters:
-            nxt = table.get(cur)
-            if nxt is None:
-                break
-            y = (h, i, cur)
-            powers[y] = powers.get(y, 0) + 1
-            cur = nxt
-        else:
-            _add_term(acc, (start, cur), tuple(sorted(powers.items())), coeff)
-
-
-def _add_term(acc: Dict[Position, Dict[tuple, int]], pos: Position, key: tuple, coeff: int) -> None:
-    cell = acc.get(pos)
-    if cell is None:
-        acc[pos] = {key: coeff}
-        return
-    nc = cell.get(key, 0) + coeff
-    if nc:
-        cell[key] = nc
-    else:
-        del cell[key]
-
-
-def _matrix(n: int, acc: Dict[Position, Dict[tuple, int]]) -> PolyMatrix:
+    n = grading.n
+    acc: Dict[Position, Dict[tuple, int]] = {}
+    tables: Dict[Grade, Dict[int, int]] = {}
+    for mono, coeff in terms:
+        letters = []
+        for h, i in mono.vars:
+            table = tables.get(h)
+            if table is None:
+                table = tables[h] = grading._target(h)
+            letters.append((h, i, table))
+        for start in letters[0][2] if letters else range(1, n + 1):
+            cur = start
+            powers: Dict[YVar, int] = {}
+            for h, i, table in letters:
+                nxt = table.get(cur)
+                if nxt is None:
+                    break
+                y = (h, i, cur)
+                powers[y] = powers.get(y, 0) + 1
+                cur = nxt
+            else:
+                key = tuple(sorted(powers.items()))
+                cell = acc.setdefault((start, cur), {})
+                cell[key] = cell.get(key, 0) + coeff
     return PolyMatrix(n, {pos: SparsePoly(cell) for pos, cell in acc.items()})
 
 
@@ -200,9 +178,7 @@ def monomial_product(grading: ElementaryGrading, m: Monomial) -> PolyMatrix:
     y[h_1,i_1,row_1] * ... * y[h_q,i_q,row_q] at position (k, final row).
     The empty word gives the identity matrix.
     """
-    acc: Dict[Position, Dict[tuple, int]] = {}
-    _add_word(acc, grading, {}, m.vars, 1)
-    return _matrix(grading.n, acc)
+    return _walk_words(grading, ((m, 1),))
 
 
 def evaluate(f: Polynomial, grading: ElementaryGrading) -> PolyMatrix:
@@ -213,11 +189,7 @@ def evaluate(f: Polynomial, grading: ElementaryGrading) -> PolyMatrix:
     order cannot affect the outcome.  A term costs O(surviving rows *
     length), with no n-by-n work per term.
     """
-    acc: Dict[Position, Dict[tuple, int]] = {}
-    tables: Dict[Grade, Dict[int, int]] = {}
-    for mono, coeff in f.terms.items():
-        _add_word(acc, grading, tables, mono.vars, coeff)
-    return _matrix(grading.n, acc)
+    return _walk_words(grading, f.terms.items())
 
 
 def _require_zero_constant(f: Polynomial) -> None:

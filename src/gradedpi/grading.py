@@ -306,23 +306,6 @@ class MatrixUnitSemigroup(GradingStructure):
         return {} if h == MU_ZERO else {h[0]: h[1]}
 
 
-def cyclic_group(n: int) -> GradingStructure:
-    """Additive group of residues modulo n, with the residues as indices."""
-    return CyclicGroup(n)
-
-
-def integers() -> GradingStructure:
-    return IntegerGroup()
-
-
-def matrix_unit_semigroup(n: int) -> GradingStructure:
-    return MatrixUnitSemigroup(n)
-
-
-def group_from_table(names: Sequence[str], table: Sequence[Sequence[int]]) -> GradingStructure:
-    return TableGroup(names, table)
-
-
 @dataclass(frozen=True)
 class RowStep:
     """Rows where a homogeneous element of one degree can start.
@@ -592,22 +575,22 @@ def parse_grading_spec(spec: str) -> ElementaryGrading:
         n = _check_matrix_size(_positive_int(rest, "modulus"))
         if head == "zp" and not _is_prime(n):
             raise GradingError(f"zp grading needs a prime modulus, got {n}")
-        structure = cyclic_group(n)
+        structure = CyclicGroup(n)
         row_grades = tuple(i % n for i in range(1, n + 1))
         return ElementaryGrading(structure, row_grades, spec=spec)
     if head == "z":
         n = _check_matrix_size(_positive_int(rest, "matrix size"))
-        return ElementaryGrading(integers(), tuple(range(1, n + 1)), spec=spec)
+        return ElementaryGrading(IntegerGroup(), tuple(range(1, n + 1)), spec=spec)
     if head == "mu":
         n = _check_matrix_size(_positive_int(rest, "matrix size"))
-        structure = matrix_unit_semigroup(n)
+        structure = MatrixUnitSemigroup(n)
         return ElementaryGrading(structure, tuple((i, i) for i in range(1, n + 1)), spec=spec)
     if head == "group":
         file_part, sep2, tuple_part = rest.rpartition(":")
         if not sep2:
             raise GradingError("group spec needs both a file and a tuple of elements")
         names, table = _parse_cayley_file(file_part)
-        structure = group_from_table(names, table)
+        structure = TableGroup(names, table)
         index = {name: i for i, name in enumerate(names)}
         row_grades = []
         for token in tuple_part.split(","):

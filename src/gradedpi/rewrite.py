@@ -67,10 +67,6 @@ def _rule_names(grading: ElementaryGrading) -> Tuple[str, str, str]:
     return SWAP_NEUTRAL, REVERSE_CONJUGATE, KILL_EMPTY_SUPPORT
 
 
-def _block_degree(m: Monomial, grading: ElementaryGrading, a: int, b: int):
-    return m.window(a, b).degree(grading)
-
-
 def apply_rule(m: Monomial, rule: str, window: Tuple[int, ...], grading: ElementaryGrading) -> Optional[Monomial]:
     """Apply one rule at a window; returns the new monomial, or None for a kill."""
     swap, reverse, kill = _rule_names(grading)
@@ -84,12 +80,10 @@ def apply_rule(m: Monomial, rule: str, window: Tuple[int, ...], grading: Element
         p, q, r = window
         if not (1 <= p <= q < r <= l):
             raise RuleError(f"bad swap window {window} for length {l}")
-        da = _block_degree(m, grading, p, q)
-        db = _block_degree(m, grading, q + 1, r)
-        if not (st.is_diagonal(da) and st.is_diagonal(db)):
-            raise RuleError(f"{rule} needs two adjacent blocks of diagonal degree")
         a = m.vars[p - 1 : q]
-        b = m.vars[q : r]
+        b = m.vars[q:r]
+        if not all(st.is_diagonal(st.product(v.grade for v in block)) for block in (a, b)):
+            raise RuleError(f"{rule} needs two adjacent blocks of diagonal degree")
         return Monomial(m.vars[: p - 1] + b + a + m.vars[r:])
     if rule == reverse:
         if len(window) != 4:
@@ -97,16 +91,14 @@ def apply_rule(m: Monomial, rule: str, window: Tuple[int, ...], grading: Element
         p, q, r, s = window
         if not (1 <= p <= q < r < s <= l):
             raise RuleError(f"bad reversal window {window} for length {l}")
-        da = _block_degree(m, grading, p, q)
-        db = _block_degree(m, grading, q + 1, r)
-        dc = _block_degree(m, grading, r + 1, s)
+        a = m.vars[p - 1 : q]
+        b = m.vars[q:r]
+        c = m.vars[r:s]
+        da, db, dc = (st.product(v.grade for v in block) for block in (a, b, c))
         if da != dc or st.is_diagonal(da) or db != st.transpose(da):
             raise RuleError(
                 f"{rule} needs deg(a) = deg(c) off the diagonal and deg(b) its transpose"
             )
-        a = m.vars[p - 1 : q]
-        b = m.vars[q : r]
-        c = m.vars[r : s]
         return Monomial(m.vars[: p - 1] + c + b + a + m.vars[s:])
     if len(window) != 1:
         raise RuleError("kill rules take a window (p,)")
@@ -144,7 +136,7 @@ def _matched_walks(src, dst, targets, n_rows: int):
     Start rows are walked one at a time, in ascending order, and the scan
     stops at the first row whose walks both survive, end on the same row and
     visit every variable at the same rows.  ``targets`` maps each grade to its
-    ``degree_rows(grade).target``.
+    row map, ``grading._target(grade)``.
     """
     hs_src = [v.grade for v in src]
     hs_dst = [v.grade for v in dst]
@@ -173,7 +165,7 @@ def _rearrangement_steps(grading, base, k1, k2, k3, cur):
     off = base
     if la == 0:
         return [Step(swap_rule, (off + 1, off + lb, off + lb + lc))]
-    deg_a = cur.window(off + 1, off + la).degree(grading)
+    deg_a = grading.structure.product(v.grade for v in cur.vars[off : off + la])
     if grading.structure.is_diagonal(deg_a):
         return [
             Step(swap_rule, (off + la + 1, off + la + lb, off + la + lb + lc)),

@@ -502,9 +502,7 @@ def battery_distinct_entries(seed: int = 0, lane: str = "both") -> List[ItemResu
         ok = True
         checked = 0
         for value in _neutral_word_values(grading):
-            entries = [
-                value.entry(i, j) for (i, j) in value.nonzero_positions()
-            ]
+            entries = value.cells.values()
             if not entries:
                 continue
             checked += 1

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from gradedpi.grading import ElementaryGrading, group_from_table
+from gradedpi.grading import ElementaryGrading, TableGroup
 
 
 def permutation_group_table(k):
@@ -25,7 +25,7 @@ def permutation_group_table(k):
 def s3_grading():
     """M_3 graded by S_3 through three distinct permutations."""
     names, table = permutation_group_table(3)
-    structure = group_from_table(names, table)
+    structure = TableGroup(names, table)
     return ElementaryGrading(structure, (0, 1, 3))
 
 

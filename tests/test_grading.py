@@ -5,16 +5,16 @@ import itertools
 import pytest
 
 from gradedpi.grading import (
+    CyclicGroup,
     ElementaryGrading,
     GradingError,
+    IntegerGroup,
     MU_ZERO,
+    MatrixUnitSemigroup,
+    TableGroup,
     complete_sequence_unit_witness,
-    cyclic_group,
     enumerate_complete_sequences,
-    group_from_table,
-    integers,
     is_complete_sequence,
-    matrix_unit_semigroup,
     parse_grading_spec,
 )
 
@@ -29,7 +29,7 @@ def brute_support(grading):
 
 class TestStructures:
     def test_cyclic_group_axioms(self):
-        st = cyclic_group(4)
+        st = CyclicGroup(4)
         assert st.identity == 0
         for a in range(4):
             assert st.mul(a, st.inverse(a)) == 0
@@ -37,13 +37,13 @@ class TestStructures:
                 assert st.mul(a, b) == (a + b) % 4
 
     def test_cyclic_group_equals_its_validated_table(self):
-        # cyclic_group builds its structure without the group check; the
+        # CyclicGroup builds its structure without the group check; the
         # same table through the checked path must give the same arithmetic
         for n in range(1, 13):
             names = [str(i) for i in range(n)]
             table = [[(a + b) % n for b in range(n)] for a in range(n)]
-            built = cyclic_group(n)
-            checked = group_from_table(names, table)
+            built = CyclicGroup(n)
+            checked = TableGroup(names, table)
             assert built.identity == checked.identity
             for a in range(n):
                 assert built.inverse(a) == checked.inverse(a)
@@ -51,14 +51,14 @@ class TestStructures:
                     assert built.mul(a, b) == checked.mul(a, b)
 
     def test_integers(self):
-        st = integers()
+        st = IntegerGroup()
         assert st.identity == 0
         assert st.mul(3, -5) == -2
         assert st.inverse(7) == -7
         assert st.product([1, -1, 2]) == 2
 
     def test_matrix_units_products(self):
-        st = matrix_unit_semigroup(2)
+        st = MatrixUnitSemigroup(2)
         assert st.mul((1, 2), (2, 1)) == (1, 1)
         assert st.mul((1, 2), (1, 2)) == MU_ZERO
         assert st.mul(MU_ZERO, (1, 1)) == MU_ZERO
@@ -70,7 +70,7 @@ class TestStructures:
             st.product([])
 
     def test_matrix_units_associative(self):
-        st = matrix_unit_semigroup(2)
+        st = MatrixUnitSemigroup(2)
         els = st.elements()
         for a, b, c in itertools.product(els, repeat=3):
             assert st.mul(st.mul(a, b), c) == st.mul(a, st.mul(b, c))
@@ -84,22 +84,22 @@ class TestStructures:
 
     def test_bad_tables_rejected(self):
         with pytest.raises(GradingError):
-            group_from_table(["e", "a"], [[0, 1], [1, 1]])  # no inverse for a
+            TableGroup(["e", "a"], [[0, 1], [1, 1]])  # no inverse for a
         with pytest.raises(GradingError):
             # has an identity but (1*2)*2 != 1*(2*2)
-            group_from_table(["e", "a", "b"], [[0, 1, 2], [1, 0, 0], [2, 0, 1]])
+            TableGroup(["e", "a", "b"], [[0, 1, 2], [1, 0, 0], [2, 0, 1]])
         with pytest.raises(GradingError):
-            group_from_table(["e"], [[0, 0]])  # not square
+            TableGroup(["e"], [[0, 0]])  # not square
 
 
 class TestElementaryGrading:
     def test_distinctness_enforced(self):
         with pytest.raises(GradingError):
-            ElementaryGrading(cyclic_group(3), (1, 1, 0))
+            ElementaryGrading(CyclicGroup(3), (1, 1, 0))
 
     def test_positional_tuple_fixed(self):
         with pytest.raises(GradingError):
-            ElementaryGrading(matrix_unit_semigroup(2), ((1, 2), (2, 1)))
+            ElementaryGrading(MatrixUnitSemigroup(2), ((1, 2), (2, 1)))
 
     def test_unit_degree_examples(self):
         zn3 = parse_grading_spec("zn:3")

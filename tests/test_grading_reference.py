@@ -27,15 +27,15 @@ from gradedpi.grading import (
     INTEGERS,
     MATRIX_UNITS,
     MU_ZERO,
+    CyclicGroup,
     ElementaryGrading,
     Grade,
     GradingError,
+    IntegerGroup,
+    MatrixUnitSemigroup,
     RowStep,
+    TableGroup,
     _check_matrix_size,
-    cyclic_group,
-    group_from_table,
-    integers,
-    matrix_unit_semigroup,
 )
 from gradedpi.rewrite import (
     KILL_EMPTY_SUPPORT,
@@ -555,12 +555,12 @@ def _grading_pairs():
     s3_names, s3_table = permutation_group_table(3)
     k_names, k_table = _klein_table()
     built = {
-        "zn:3": (reference_cyclic_group(3), cyclic_group(3), (1, 2, 0)),
-        "zn:5": (reference_cyclic_group(5), cyclic_group(5), (1, 2, 3, 4, 0)),
-        "z:3": (reference_integers(), integers(), (1, 2, 3)),
-        "mu:3": (reference_matrix_unit_semigroup(3), matrix_unit_semigroup(3), ((1, 1), (2, 2), (3, 3))),
-        "S3": (reference_group_from_table(s3_names, s3_table), group_from_table(s3_names, s3_table), (0, 1, 3)),
-        "Klein": (reference_group_from_table(k_names, k_table), group_from_table(k_names, k_table), (0, 1, 2)),
+        "zn:3": (reference_cyclic_group(3), CyclicGroup(3), (1, 2, 0)),
+        "zn:5": (reference_cyclic_group(5), CyclicGroup(5), (1, 2, 3, 4, 0)),
+        "z:3": (reference_integers(), IntegerGroup(), (1, 2, 3)),
+        "mu:3": (reference_matrix_unit_semigroup(3), MatrixUnitSemigroup(3), ((1, 1), (2, 2), (3, 3))),
+        "S3": (reference_group_from_table(s3_names, s3_table), TableGroup(s3_names, s3_table), (0, 1, 3)),
+        "Klein": (reference_group_from_table(k_names, k_table), TableGroup(k_names, k_table), (0, 1, 2)),
     }
     out = {}
     for name, (old_st, new_st, rows) in built.items():

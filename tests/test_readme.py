@@ -1,5 +1,6 @@
 """README against the package: the size-cap table against the ``MAX_*``
-constants, and every Quick start command against the CLI."""
+constants, every backticked ``gradedpi.<module>[.<name>]`` against the
+package, and every Quick start command against the CLI."""
 
 import importlib
 import pathlib
@@ -11,6 +12,7 @@ from gradedpi.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 ROW = re.compile(r"^\| `gradedpi\.(\w+)\.(MAX_\w+)` *\| *(\w+) *\|", re.MULTILINE)
+DOTTED = re.compile(r"`gradedpi\.([\w.]+)`")
 QUICK_START = re.compile(r"^## Quick start\n+```sh\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
 
@@ -25,6 +27,17 @@ def test_size_cap_table_matches_the_constants():
             gradedpi, name
         ), f"{name} is not in gradedpi.{module}"
         assert int(value) == getattr(gradedpi, name), name
+
+
+def test_dotted_names_resolve():
+    dotted = DOTTED.findall(README.read_text(encoding="utf-8"))
+    assert dotted
+    for path in dotted:
+        module, *names = path.split(".")
+        obj = importlib.import_module(f"gradedpi.{module}")
+        for name in names:
+            assert hasattr(obj, name), f"gradedpi.{path}"
+            obj = getattr(obj, name)
 
 
 def test_quick_start_commands_exit_0(capsys):
