@@ -38,32 +38,27 @@ def _emit(payload: dict, fmt: str, text_lines: List[str]):
             print(line)
 
 
-def _cmd_check(args, central: bool) -> int:
+def _cmd_check(args) -> int:
+    # read through the module globals on every call, so that a rebinding of
+    # the witness functions here (a tracer, a test) takes effect
+    witness_of, yes, no = {
+        "check-identity": (identity_witness, "identity", "not an identity"),
+        "check-central": (centrality_witness, "central", "not central"),
+    }[args.command]
     grading = parse_grading_spec(args.grading)
     results = []
     lines = []
     all_true = True
     for text in args.poly:
         poly = parse_polynomial(text, grading)
-        witness = (
-            centrality_witness(poly, grading)
-            if central
-            else identity_witness(poly, grading)
-        )
+        witness = witness_of(poly, grading)
         verdict = witness["kind"] == "verified"
         all_true = all_true and verdict
         results.append({"poly": text, "verdict": verdict, "witness": witness})
-        label = ("central" if central else "identity") if verdict else (
-            "not central" if central else "not an identity"
-        )
-        lines.append(f"{label}: {text}")
+        lines.append(f"{yes if verdict else no}: {text}")
         if not verdict:
             lines.append(f"  witness: {json.dumps(witness, sort_keys=True)}")
-    payload = {
-        "command": "check-central" if central else "check-identity",
-        "grading": args.grading,
-        "results": results,
-    }
+    payload = {"command": args.command, "grading": args.grading, "results": results}
     _emit(payload, args.format, lines)
     return 0 if all_true else 1
 
@@ -109,23 +104,21 @@ def _cmd_enumerate(args) -> int:
         lines += [f"  {text}" for text in listing]
         _emit(payload, args.format, lines)
         return 0
-    if args.what == "complete-sequences":
-        if not grading.structure.is_cyclic:
-            raise UsageError(
-                f"complete sequences are listed for cyclic residue gradings only, not {args.grading!r}"
-            )
-        sequences = [list(seq) for seq in enumerate_complete_sequences(grading.n)]
-        payload = {
-            "command": "enumerate",
-            "grading": args.grading,
-            "what": args.what,
-            "sequences": sequences,
-        }
-        lines = [f"{len(sequences)} complete sequences of length {grading.n}"]
-        lines += [f"  {seq}" for seq in sequences]
-        _emit(payload, args.format, lines)
-        return 0
-    raise UsageError(f"unknown enumeration target {args.what!r}")
+    if not grading.structure.is_cyclic:
+        raise UsageError(
+            f"complete sequences are listed for cyclic residue gradings only, not {args.grading!r}"
+        )
+    sequences = [list(seq) for seq in enumerate_complete_sequences(grading.n)]
+    payload = {
+        "command": "enumerate",
+        "grading": args.grading,
+        "what": args.what,
+        "sequences": sequences,
+    }
+    lines = [f"{len(sequences)} complete sequences of length {grading.n}"]
+    lines += [f"  {seq}" for seq in sequences]
+    _emit(payload, args.format, lines)
+    return 0
 
 
 def _cmd_basis(args) -> int:
@@ -187,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, polys=False):
+    def common(p, run, polys=False):
+        p.set_defaults(run=run)
         p.add_argument("--grading", required=True, help="grading spec, e.g. zn:3, z:2, mu:2")
         if polys:
             p.add_argument(
@@ -197,13 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("check-identity", help="decide graded identity")
-    common(p, polys=True)
+    common(p, _cmd_check, polys=True)
     p = sub.add_parser("check-central", help="decide graded centrality")
-    common(p, polys=True)
+    common(p, _cmd_check, polys=True)
     p = sub.add_parser("congruence", help="rewrite one monomial into another")
-    common(p, polys=True)
+    common(p, _cmd_congruence, polys=True)
     p = sub.add_parser("enumerate", help="enumerate monomial identities or complete sequences")
-    common(p)
+    common(p, _cmd_enumerate)
     p.add_argument("--max-degree", type=int, default=4)
     p.add_argument(
         "--what",
@@ -211,10 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="monomial-identities",
     )
     p = sub.add_parser("basis", help="build and verify a generating family")
-    common(p)
+    common(p, _cmd_basis)
     p.add_argument("--kind", choices=("identities", "central"), default="identities")
     p.add_argument("--cutoff", type=int, default=None, help="enumeration cap for the monomial family")
     p = sub.add_parser("verify", help="run a named verification suite")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--suite", required=True, help="suite name or 'all'")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -228,19 +223,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "check-identity":
-            return _cmd_check(args, central=False)
-        if args.command == "check-central":
-            return _cmd_check(args, central=True)
-        if args.command == "congruence":
-            return _cmd_congruence(args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        if args.command == "basis":
-            return _cmd_basis(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (GradingError, PolynomialSyntaxError, BasesError, RuleError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

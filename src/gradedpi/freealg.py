@@ -58,12 +58,6 @@ class Monomial:
         """Ordered product of the variable grades; absorbing-zero aware."""
         return grading.structure.product(self.h)
 
-    def window(self, k: int, l: int) -> "Monomial":
-        """Variables k..l of the word, 1-based and inclusive."""
-        if not (1 <= k <= l <= len(self.vars)):
-            raise ValueError(f"window [{k},{l}] out of range for length {len(self.vars)}")
-        return Monomial(self.vars[k - 1 : l])
-
     def sort_key(self):
         return (len(self.vars), self.vars)
 

@@ -207,8 +207,7 @@ def is_central(f: Polynomial, grading: ElementaryGrading) -> bool:
 
     Requires a zero constant term so that f vanishes on the zero assignment.
     """
-    _require_zero_constant(f)
-    return evaluate(f, grading).is_scalar
+    return centrality_witness(f, grading)["kind"] == "verified"
 
 
 def entry_match(m1: Monomial, m2: Monomial, grading: ElementaryGrading) -> Optional[Tuple[int, int]]:
@@ -222,17 +221,16 @@ def entry_match(m1: Monomial, m2: Monomial, grading: ElementaryGrading) -> Optio
     return None
 
 
+def _entry_report(kind: str, value: PolyMatrix, i: int, j: int, grading: ElementaryGrading) -> dict:
+    return {"kind": kind, "position": [i, j], "entry": value.entry(i, j).text(grading)}
+
+
 def identity_witness(f: Polynomial, grading: ElementaryGrading) -> dict:
     """Verdict report for the identity check: verified, or a nonzero entry."""
     value = evaluate(f, grading)
     if value.is_zero:
         return {"kind": "verified"}
-    i, j = min(value.cells)
-    return {
-        "kind": "nonzero_entry",
-        "position": [i, j],
-        "entry": value.entry(i, j).text(grading),
-    }
+    return _entry_report("nonzero_entry", value, *min(value.cells), grading)
 
 
 def centrality_witness(f: Polynomial, grading: ElementaryGrading) -> dict:
@@ -248,15 +246,8 @@ def centrality_witness(f: Polynomial, grading: ElementaryGrading) -> dict:
         return {"kind": "verified"}
     i, j = pos
     if i != j:
-        return {
-            "kind": "offdiag",
-            "position": [i, j],
-            "entry": value.entry(i, j).text(grading),
-        }
-    return {
-        "kind": "diag_mismatch",
-        "position": [i, i],
-        "entry": value.entry(i, i).text(grading),
-        "reference_position": [1, 1],
-        "reference_entry": value.entry(1, 1).text(grading),
-    }
+        return _entry_report("offdiag", value, i, j, grading)
+    report = _entry_report("diag_mismatch", value, i, i, grading)
+    report["reference_position"] = [1, 1]
+    report["reference_entry"] = value.entry(1, 1).text(grading)
+    return report

@@ -532,7 +532,7 @@ def _parse_cayley_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GradingError(f"cannot read Cayley table file {path!r}: {exc}")
     lines = [ln.strip() for ln in raw.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]

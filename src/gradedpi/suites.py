@@ -1,8 +1,9 @@
 """Verification suites: seeded batteries over the whole decision pipeline.
 
-Each battery returns a list of item results; the named suites compose the
-batteries for the command-line ``verify`` subcommand.  All randomness flows
-from one seed per battery, so reports are reproducible.
+Each battery returns a list of item results; each named suite of the
+command-line ``verify`` subcommand is a tuple of batteries, whose items
+``run_suite`` joins in order.  All randomness flows from one seed per
+battery, so reports are reproducible.
 """
 
 from __future__ import annotations
@@ -168,14 +169,9 @@ def battery_generator_identities(seed: int = 0) -> List[ItemResult]:
     return _family_items(GENERATOR_GRADINGS, "identities")
 
 
-def battery_identity_consequences(seed: int = 0, lane: str = "both") -> List[ItemResult]:
+def _consequence_items(specs: Iterable[str], seed: int) -> List[ItemResult]:
     """Random substitution images and two-sided multiples stay identities."""
     items: List[ItemResult] = []
-    specs = []
-    if lane in ("zn", "both"):
-        specs += ["zn:2", "zn:3", "zn:4"]
-    if lane in ("z", "both"):
-        specs += ["z:2", "z:3", "z:4"]
     for spec in specs:
         grading = parse_grading_spec(spec)
         basis = build_basis(grading, "identities")
@@ -200,6 +196,16 @@ def battery_identity_consequences(seed: int = 0, lane: str = "both") -> List[Ite
                 "200 random images",
             )
     return items
+
+
+def battery_residue_consequences(seed: int = 0) -> List[ItemResult]:
+    """Consequences of the residue-grading identity families stay identities."""
+    return _consequence_items(["zn:2", "zn:3", "zn:4"], seed)
+
+
+def battery_integer_consequences(seed: int = 0) -> List[ItemResult]:
+    """Consequences of the integer-grading identity families stay identities."""
+    return _consequence_items(["z:2", "z:3", "z:4"], seed)
 
 
 def battery_no_monomial_identities(seed: int = 0) -> List[ItemResult]:
@@ -473,14 +479,11 @@ def battery_twin_blocks(seed: int = 0) -> List[ItemResult]:
     return items
 
 
-def battery_distinct_entries(seed: int = 0, lane: str = "both") -> List[ItemResult]:
+def battery_distinct_diagonal(seed: int = 0) -> List[ItemResult]:
     """Diagonal entries of non-central neutral words are pairwise distinct
-    over residue gradings; all nonzero entries are distinct over the
-    integer grading."""
+    over residue gradings."""
     items: List[ItemResult] = []
-    residue_specs = ("zn:2", "zn:3") if lane in ("zn", "both") else ()
-    integer_specs = ("z:2", "z:3") if lane in ("z", "both") else ()
-    for spec in residue_specs:
+    for spec in ("zn:2", "zn:3"):
         grading = parse_grading_spec(spec)
         n = grading.n
         ok = True
@@ -497,7 +500,14 @@ def battery_distinct_entries(seed: int = 0, lane: str = "both") -> List[ItemResu
                 ok = False
                 break
         _item(items, f"{spec}/distinct-diagonal", ok, f"{checked} non-central words")
-    for spec in integer_specs:
+    return items
+
+
+def battery_distinct_entries(seed: int = 0) -> List[ItemResult]:
+    """All nonzero entries of neutral words are pairwise distinct over the
+    integer grading."""
+    items: List[ItemResult] = []
+    for spec in ("z:2", "z:3"):
         grading = parse_grading_spec(spec)
         ok = True
         checked = 0
@@ -547,32 +557,22 @@ def battery_positional_basis(seed: int = 0) -> List[ItemResult]:
     return items
 
 
-SUITES: Dict[str, Callable[[int], List[ItemResult]]] = {
-    "lemma-luis1": battery_generator_identities,
-    "vasilovsky-zn": lambda seed=0: (
-        battery_identity_consequences(seed, lane="zn") + battery_no_monomial_identities(seed)
-    ),
-    "vasilovsky-z": lambda seed=0: (
-        battery_identity_consequences(seed, lane="z")
-        + battery_integer_monomial_classification(seed)
-    ),
-    "mun-basis": battery_positional_basis,
-    "central-zp": lambda seed=0: (
-        battery_central_residue(seed) + battery_distinct_entries(seed, lane="zn")
-    ),
-    "central-z": lambda seed=0: (
-        battery_central_integer(seed) + battery_distinct_entries(seed, lane="z")
-    ),
-    "oracle-equivalence": lambda seed=0: (
-        battery_oracle_equivalence(seed) + battery_fast_product(seed)
-    ),
-    "lambda-type2": battery_twin_blocks,
-    "complete-seq": battery_complete_sequences,
-    "congruence": battery_congruence,
+#: each suite is a tuple of batteries; run_suite joins their items in order
+SUITES: Dict[str, Tuple[Callable[[int], List[ItemResult]], ...]] = {
+    "lemma-luis1": (battery_generator_identities,),
+    "vasilovsky-zn": (battery_residue_consequences, battery_no_monomial_identities),
+    "vasilovsky-z": (battery_integer_consequences, battery_integer_monomial_classification),
+    "mun-basis": (battery_positional_basis,),
+    "central-zp": (battery_central_residue, battery_distinct_diagonal),
+    "central-z": (battery_central_integer, battery_distinct_entries),
+    "oracle-equivalence": (battery_oracle_equivalence, battery_fast_product),
+    "lambda-type2": (battery_twin_blocks,),
+    "complete-seq": (battery_complete_sequences,),
+    "congruence": (battery_congruence,),
 }
 
 
 def run_suite(name: str, seed: int = 0) -> List[ItemResult]:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    return SUITES[name](seed)
+    return [item for battery in SUITES[name] for item in battery(seed)]

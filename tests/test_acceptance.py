@@ -11,14 +11,16 @@ from gradedpi.suites import (
     battery_central_residue,
     battery_complete_sequences,
     battery_congruence,
+    battery_distinct_diagonal,
     battery_distinct_entries,
     battery_fast_product,
     battery_generator_identities,
-    battery_identity_consequences,
+    battery_integer_consequences,
     battery_integer_monomial_classification,
     battery_no_monomial_identities,
     battery_oracle_equivalence,
     battery_positional_basis,
+    battery_residue_consequences,
     battery_twin_blocks,
 )
 
@@ -40,7 +42,8 @@ def test_criterion_01_generator_batteries():
 
 
 def test_criterion_02_identity_consequences():
-    _report(2, "seeded consequence closure", battery_identity_consequences(SEED))
+    items = battery_residue_consequences(SEED) + battery_integer_consequences(SEED)
+    _report(2, "seeded consequence closure", items)
 
 
 def test_criterion_03_no_residue_monomial_identities():
@@ -84,4 +87,5 @@ def test_criterion_11_twin_block_threshold():
 
 
 def test_criterion_12_distinct_entries():
-    _report(12, "distinct generic entries of neutral words", battery_distinct_entries(SEED))
+    items = battery_distinct_diagonal(SEED) + battery_distinct_entries(SEED)
+    _report(12, "distinct generic entries of neutral words", items)

@@ -242,7 +242,7 @@ def _complete_factors(m, grading):
         cuts = [c + 1 for c in range(len(m)) if path[c] not in path[:c]]
         if len(cuts) == grading.n:
             ends = [c - 1 for c in cuts[1:]] + [len(m)]
-            return [m.window(lo, hi) for lo, hi in zip(cuts, ends)]
+            return [Monomial(m.vars[lo - 1 : hi]) for lo, hi in zip(cuts, ends)]
     return None
 
 

@@ -16,6 +16,7 @@ from gradedpi import (
     parse_monomial,
     parse_polynomial,
 )
+from gradedpi import cli, suites
 from gradedpi.cli import main
 from gradedpi.suites import SUITES
 
@@ -213,6 +214,37 @@ class TestBasisAndVerify:
     def test_usage_error_exit_code(self, capsys):
         assert main(["no-such-command"]) == 2
 
+    def test_suites_are_tuples_of_every_battery(self):
+        batteries = {
+            obj for name, obj in vars(suites).items()
+            if name.startswith("battery_") and callable(obj)
+        }
+        for name, members in SUITES.items():
+            assert isinstance(members, tuple) and members, name
+            assert set(members) <= batteries, name
+        assert batteries == {b for members in SUITES.values() for b in members}
+
+    def test_check_commands_call_the_witness_bound_in_cli(self, capsys, monkeypatch):
+        # a tracer rebinds these names in gradedpi.cli; the handler must see it
+        argv_tail = ["--grading", "zn:3", "--poly", "x[0,1]", "--poly", "x[1,1]*x[2,2]"]
+        for command, name in (
+            ("check-identity", "identity_witness"),
+            ("check-central", "centrality_witness"),
+        ):
+            calls = []
+            original = getattr(cli, name)
+
+            def counting(*args, _original=original, _calls=calls):
+                _calls.append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(cli, name, counting)
+            code, out, err = run(capsys, command, *argv_tail)
+            assert (code, err, len(calls)) == (1, "", 2), command
+            args = cli.build_parser().parse_args([command, *argv_tail])
+            assert args.run(args) == 1 and len(calls) == 4, command
+            assert capsys.readouterr().out == out, command
+
 
 class TestInternalErrors:
     def _raise(self, exc):
@@ -246,7 +278,7 @@ class TestInternalErrors:
         assert err == "internal error: ValueError: bug in the library\n"
 
     def test_library_key_error_in_a_battery_is_not_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setitem(SUITES, "complete-seq", self._raise(KeyError("lost grade")))
+        monkeypatch.setitem(SUITES, "complete-seq", (self._raise(KeyError("lost grade")),))
         code, out, err = run(capsys, "verify", "--suite", "complete-seq")
         assert code == 3
         assert out == ""
@@ -283,6 +315,16 @@ class TestInternalErrors:
             capsys, "check-identity", "--grading", f"group:{path}:e,a", "--poly", "x[1,1]"
         )
         assert code == 1
+
+    def test_cayley_file_that_is_not_utf8_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"e a\n\xff\xfe a\na e\n")
+        code, out, err = run(
+            capsys, "check-identity", "--grading", f"group:{path}:e,a", "--poly", "x[1,1]"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read Cayley table file {str(path)!r}: ")
+        assert "can't decode byte 0xff" in err and err.count("\n") == 1
 
 
 class TestResourceCaps:

@@ -67,8 +67,8 @@ def reference_find_congruence(m: Monomial, n: Monomial, grading: ElementaryGradi
         guard += 1
         if guard > 6 * r + 6:
             raise RuntimeError("congruence construction failed to converge")
-        src = cur.window(base + 1, r)
-        dst = n.window(base + 1, r)
+        src = Monomial(cur.vars[base:r])
+        dst = Monomial(n.vars[base:r])
         hit = _reference_matched_walks(src, dst, grading)
         if hit is None:
             if base == 0 and not steps:

@@ -46,16 +46,6 @@ class TestMonomial:
         with pytest.raises(GradingError):
             ONE.degree(MU2)
 
-    def test_window_examples(self):
-        m = mono((1, 1), (1, 2), (1, 3))
-        assert m.window(1, 2) == mono((1, 1), (1, 2))
-        assert m.window(3, 3) == mono((1, 3))
-        assert m.window(2, 3) == mono((1, 2), (1, 3))
-        with pytest.raises(ValueError):
-            m.window(2, 4)
-        with pytest.raises(ValueError):
-            m.window(0, 1)
-
     def test_h_of_window_is_slice(self):
         rng = random.Random(5)
         for _ in range(50):
@@ -63,7 +53,7 @@ class TestMonomial:
             m = Monomial(Var(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(d))
             k = rng.randint(1, d)
             l = rng.randint(k, d)
-            assert m.window(k, l).h == m.h[k - 1 : l]
+            assert Monomial(m.vars[k - 1 : l]).h == m.h[k - 1 : l]
 
 
 class TestPolynomial:
@@ -147,16 +137,19 @@ class TestClassify:
             l = len(m)
             if not (1 <= p1 < p1 + a < p2 < p2 + a <= l):
                 return False
+            def window(lo, hi):
+                return Monomial(m.vars[lo - 1 : hi])
+
             blocks_neutral = all(
-                m.window(lo, hi).degree(ZN2) == 0
+                window(lo, hi).degree(ZN2) == 0
                 for lo, hi in ((p1, p1 + a), (p2, p2 + a))
             )
             gap = (
-                m.window(p1 + a + 1, p2 - 1).degree(ZN2) == 0
+                window(p1 + a + 1, p2 - 1).degree(ZN2) == 0
                 if p2 > p1 + a + 1
                 else True
             )
-            same_h = m.window(p1, p1 + a).h == m.window(p2, p2 + a).h
+            same_h = window(p1, p1 + a).h == window(p2, p2 + a).h
             return blocks_neutral and gap and same_h
 
         w = cls.twin_blocks

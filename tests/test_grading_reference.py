@@ -371,7 +371,7 @@ def _check_rule_kind(rule: str, grading: ElementaryGrading):
 
 
 def _block_degree(m: Monomial, grading: ElementaryGrading, a: int, b: int):
-    return m.window(a, b).degree(grading)
+    return Monomial(m.vars[a - 1 : b]).degree(grading)
 
 
 def _is_diagonal(grade) -> bool:
