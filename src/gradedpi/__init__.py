@@ -15,7 +15,9 @@ from .grading import (
     GradingError,
     GradingStructure,
     IntegerGroup,
+    MAX_CAYLEY_FILE_BYTES,
     MAX_COMPLETE_SEQUENCES,
+    MAX_GROUP_ORDER,
     MAX_MATRIX_SIZE,
     MU_ZERO,
     MatrixUnitSemigroup,

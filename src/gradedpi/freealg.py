@@ -10,6 +10,7 @@ classification of monomials by their subword degrees.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
 
@@ -319,6 +320,9 @@ class PolynomialSyntaxError(ValueError):
 
 
 class _Parser:
+    """Reads text the term reader refused one character at a time, only to
+    raise ``PolynomialSyntaxError`` at its first error."""
+
     def __init__(self, text: str, grading: ElementaryGrading):
         self.text = text
         self.pos = 0
@@ -381,7 +385,7 @@ class _Parser:
         self.expect("x")
         self.expect("[")
         self.skip_ws()
-        grade = self.parse_grade()
+        self.parse_grade()
         self.skip_ws()
         self.expect(",")
         self.skip_ws()
@@ -397,26 +401,25 @@ class _Parser:
             self.pos += 1
             self.skip_ws()
             exp = self.read_nat()
-        return Var(grade, index), exp
+        return exp
 
     def parse_term(self):
-        coeff = 1
-        factors = []
+        degree = 0
         self.skip_ws()
         if self.peek().isdigit():
-            coeff = self.read_nat()
+            self.read_nat()
             self.skip_ws()
             if self.peek() == "*":
                 self.pos += 1
                 self.skip_ws()
             else:
-                return coeff, Monomial(())  # bare integer constant
+                return  # bare integer constant
         while True:
             if self.peek() != "x":
                 self.error("expected a variable factor")
             start = self.pos
-            var, exp = self.parse_factor()
-            if len(factors) + exp > MAX_TERM_DEGREE:
+            exp = self.parse_factor()
+            if degree + exp > MAX_TERM_DEGREE:
                 self.error(f"term degree exceeds the limit {MAX_TERM_DEGREE}", start)
             self.letters += exp
             if self.rows * self.letters > MAX_INPUT_ROW_STEPS:
@@ -425,45 +428,113 @@ class _Parser:
                     f"the limit of {MAX_INPUT_ROW_STEPS} row steps",
                     start,
                 )
-            factors.extend([var] * exp)
+            degree += exp
             self.skip_ws()
             if self.peek() == "*":
                 self.pos += 1
                 self.skip_ws()
                 continue
             break
-        return coeff, Monomial(factors)
 
-    def parse(self) -> Polynomial:
+    def parse(self) -> None:
         self.skip_ws()
         if not self.peek():
             self.error("empty input")
-        terms: Dict[Monomial, int] = {}
-        sign = 1
         if self.peek() == "-":
-            sign = -1
             self.pos += 1
         while True:
-            coeff, mono = self.parse_term()
-            coeff *= sign
-            nc = terms.get(mono, 0) + coeff
-            if nc:
-                terms[mono] = nc
-            else:
-                terms.pop(mono, None)
+            self.parse_term()
             self.skip_ws()
             ch = self.peek()
-            if ch == "+":
-                sign = 1
-                self.pos += 1
-            elif ch == "-":
-                sign = -1
+            if ch in ("+", "-"):
                 self.pos += 1
             elif not ch:
                 break
             else:
                 self.error("expected '+', '-', or end of input")
-        return Polynomial(terms)
+
+
+# The term reader accepts exactly the texts ``_Parser`` accepts.  A match keeps
+# a few kB of backtracking state per factor, so a term is matched at most 65
+# factors at a time: ``_HEAD``, then ``_MORE`` until ``_END``.  ``\s`` and
+# ``\d`` match what ``str.isspace`` and ``str.isdecimal`` (the digits ``int``
+# reads) accept.  Every ``\s*`` is next to a literal, never to another
+# ``\s*``, so a refusal takes linear time.
+_VAR = r"\s*(?:(-?\d+)|\(\s*(\d+)\s*,\s*(\d+)\s*\))\s*,\s*(\d+)\s*"
+_FACTOR = rf"x\[{_VAR}\](?:\s*\^\s*\d+)?"
+_FACTORS = rf"(?:\s*\*\s*{_FACTOR}){{1,64}}"
+_HEAD = re.compile(rf"\s*(?=[\dx])(?P<coeff>\d+)?(?:(?(coeff)\s*\*\s*){_FACTOR}(?:{_FACTORS})?)?")
+_MORE = re.compile(_FACTORS)
+_END = re.compile(r"\s*([+-]|\Z)")
+_LEAD = re.compile(r"\s*(-?)")
+# the bracket text, and the exponent, of each factor of an accepted term
+_BRACKETS = re.compile(r"\[([^\]]*)\]")
+_EXPONENTS = re.compile(r"\](?:\s*\^\s*(\d+))?")
+
+
+class _Refused(ValueError):
+    """The term reader does not accept the text; ``_Parser`` names the error."""
+
+
+class _Vars(dict):
+    """Bracket text to ``Var`` for one input, each distinct text read once."""
+
+    def __init__(self, structure):
+        super().__init__()
+        self.structure = structure
+
+    def __missing__(self, key):
+        grade, i, j, index = re.fullmatch(_VAR, key).groups()
+        if grade:
+            g = self.structure.grade_from_int(int(grade))
+        else:
+            g = self.structure.grade_from_pair(int(i), int(j))
+        index = int(index)
+        if index < 1:
+            raise _Refused
+        return self.setdefault(key, Var(g, index))
+
+
+def _read_terms(text: str, grading: ElementaryGrading) -> Polynomial:
+    """The polynomial of ``text``, read a term at a time.  Raises ``ValueError``
+    (``_Refused``, or from ``int`` or a grade constructor) on every text
+    ``_Parser`` refuses, and checks both caps before a power expands."""
+    rows = grading.n
+    var_of = _Vars(grading.structure)
+    powers = "^" in text
+    terms: Dict[Monomial, int] = {}
+    letters = 0
+    last = _LEAD.match(text)  # the leading sign, read like an operator
+    while True:
+        pos = last.end()
+        sign = -1 if last[1] == "-" else 1
+        m = _HEAD.match(text, pos)
+        if m is None:
+            raise _Refused
+        end = m.end()
+        while (last := _END.match(text, end)) is None:
+            more = _MORE.match(text, end)
+            if more is None:
+                raise _Refused
+            end = more.end()
+        word = tuple(map(var_of.__getitem__, _BRACKETS.findall(text, pos, end)))
+        degree = len(word)
+        if powers:
+            exps = [int(e or 1) for e in _EXPONENTS.findall(text, pos, end)]
+            degree = sum(exps)
+        letters += degree
+        if degree > MAX_TERM_DEGREE or rows * letters > MAX_INPUT_ROW_STEPS:
+            raise _Refused
+        if powers:
+            word = tuple(v for v, e in zip(word, exps) for _ in range(e))
+        mono = Monomial(word)
+        nc = terms.get(mono, 0) + sign * int(m["coeff"] or 1)
+        if nc:
+            terms[mono] = nc
+        else:
+            terms.pop(mono, None)
+        if not last[1]:
+            return Polynomial(terms)
 
 
 def parse_polynomial(text: str, grading: ElementaryGrading) -> Polynomial:
@@ -474,9 +545,15 @@ def parse_polynomial(text: str, grading: ElementaryGrading) -> Polynomial:
     ``factor := var ['^' nat]``, ``var := 'x[' grade ',' nat ']'`` and
     ``grade := int | '(' nat ',' nat ')' | '0'``.  Pair and 0 grades are only
     valid under matrix-position gradings; integer grades reduce modulo n under
-    a cyclic grading.
+    a cyclic grading.  Refused text raises ``PolynomialSyntaxError`` with the
+    0-based position of the first error.
     """
-    return _Parser(text, grading).parse()
+    try:
+        return _read_terms(text, grading)
+    except ValueError:
+        pass
+    _Parser(text, grading).parse()
+    raise RuntimeError("the term reader refused polynomial text the parser accepts")
 
 
 def parse_monomial(text: str, grading: ElementaryGrading) -> Monomial:

@@ -34,6 +34,15 @@ MU_ZERO: Grade = (0, 0)
 #: up front.
 MAX_MATRIX_SIZE = 512
 
+#: largest order (names in the header) of a ``group:`` Cayley table.  The
+#: group check scans all m^3 triples, about 2 s at this order, so a larger
+#: header is refused before any row is read.
+MAX_GROUP_ORDER = 256
+
+#: longest Cayley table file read: a header and m rows of m names at that
+#: order, each name up to 15 characters plus a separator.
+MAX_CAYLEY_FILE_BYTES = 16 * (MAX_GROUP_ORDER + 1) * MAX_GROUP_ORDER
+
 #: most complete sequences ``enumerate_complete_sequences`` lists: the
 #: (n-1)! residue sequences up to n = 8, or the n! integer lifts up to n = 7.
 #: The count is known from n alone, so a longer list is refused before any
@@ -76,9 +85,11 @@ class GradingStructure:
 
         A structure without an identity refuses the empty product.
         """
-        grades = tuple(grades)
-        if grades:
-            return functools.reduce(self.mul, grades)
+        # no temporary tuple: short tuples freed between full garbage
+        # collections stay in CPython's free lists
+        grades = iter(grades)
+        for first in grades:
+            return functools.reduce(self.mul, grades, first)
         if not self.has_identity:
             raise GradingError("empty product is undefined without an identity")
         return self.identity
@@ -530,8 +541,13 @@ def _positive_int(text: str, what: str) -> int:
 
 def _parse_cayley_file(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_CAYLEY_FILE_BYTES + 1)
+        if len(data) > MAX_CAYLEY_FILE_BYTES:
+            raise GradingError(
+                f"Cayley table file {path!r} exceeds the limit of {MAX_CAYLEY_FILE_BYTES} bytes"
+            )
+        raw = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise GradingError(f"cannot read Cayley table file {path!r}: {exc}")
     lines = [ln.strip() for ln in raw.splitlines()]
@@ -540,6 +556,8 @@ def _parse_cayley_file(path: str):
         raise GradingError(f"Cayley table file {path!r} is empty")
     names = lines[0].split()
     m = len(names)
+    if m > MAX_GROUP_ORDER:
+        raise GradingError(f"group order {m} exceeds the limit {MAX_GROUP_ORDER}")
     if len(set(names)) != m:
         raise GradingError("duplicate element names in Cayley table header")
     if len(lines) != m + 1:

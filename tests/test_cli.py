@@ -6,8 +6,11 @@ import tracemalloc
 
 import pytest
 
+from conftest import KLEIN_TABLE
 from gradedpi import (
+    MAX_CAYLEY_FILE_BYTES,
     MAX_COMPLETE_SEQUENCES,
+    MAX_GROUP_ORDER,
     MAX_INPUT_ROW_STEPS,
     MAX_MATRIX_SIZE,
     MAX_TERM_DEGREE,
@@ -383,6 +386,14 @@ class TestResourceCaps:
         )
         assert code == 1
 
+    def test_long_term_is_refused_in_bounded_memory(self, capsys):
+        # a term four times over the degree cap, as long as one argument can
+        # be; the text is matched a bounded number of factors at a time
+        poly = "*".join(["x[1,2]"] * (4 * MAX_TERM_DEGREE))
+        err = self._refused(capsys, ["check-identity", "--grading", "zn:3", "--poly", poly])
+        position = len("x[1,2]*") * MAX_TERM_DEGREE  # the first factor past the cap
+        assert err == f"error: term degree exceeds the limit {MAX_TERM_DEGREE} (at position {position})\n"
+
     def test_input_row_steps_boundary(self):
         grading = parse_grading_spec("zn:500")
         at_cap = MAX_INPUT_ROW_STEPS // 500
@@ -440,6 +451,33 @@ class TestResourceCaps:
                 f"there are more than {MAX_COMPLETE_SEQUENCES}\n"
             )
             assert len(err) < 200, argv
+
+    def test_cayley_file_size_cap(self, capsys, tmp_path):
+        # a valid Klein table padded by a comment line to the bound answers;
+        # one byte more is refused after reading at most one byte past it
+        path = tmp_path / "padded.txt"
+        argv = ["check-identity", "--grading", f"group:{path}:e,a,b", "--poly", "x[1,1]"]
+        padding = MAX_CAYLEY_FILE_BYTES - len(KLEIN_TABLE) - 2
+        path.write_text(KLEIN_TABLE + "#" + "p" * padding + "\n")
+        assert run(capsys, *argv)[0] == 1
+        path.write_text(KLEIN_TABLE + "#" + "p" * (padding + 1) + "\n")
+        err = self._refused(capsys, argv)
+        assert err == (
+            f"error: Cayley table file {str(path)!r} exceeds the limit of "
+            f"{MAX_CAYLEY_FILE_BYTES} bytes\n"
+        )
+
+    def test_group_order_cap(self, capsys, tmp_path):
+        # the header alone decides, before any row is read or checked
+        path = tmp_path / "wide.txt"
+        argv = ["check-identity", "--grading", f"group:{path}:g0", "--poly", "x[0,1]"]
+        path.write_text(" ".join(f"g{k}" for k in range(MAX_GROUP_ORDER + 1)) + "\n")
+        err = self._refused(capsys, argv)
+        assert err == f"error: group order {MAX_GROUP_ORDER + 1} exceeds the limit {MAX_GROUP_ORDER}\n"
+        path.write_text(" ".join(f"g{k}" for k in range(MAX_GROUP_ORDER)) + "\n")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: Cayley table needs {MAX_GROUP_ORDER} product rows, found 0\n"
 
     def test_zp7_central_answers(self, capsys):
         # 6! = 720 complete sequences, under the cap

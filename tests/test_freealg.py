@@ -1,6 +1,7 @@
 """Free algebra: monomials, polynomials, classification, and the grammar."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from gradedpi.grading import (
     parse_grading_spec,
 )
 from gradedpi.freealg import (
+    MAX_TERM_DEGREE,
     Monomial,
     ONE,
     Polynomial,
@@ -291,3 +293,55 @@ class TestGrammar:
         )
         text = format_polynomial(f, grading)
         assert parse_polynomial(text, grading) == f
+
+
+ZN5 = parse_grading_spec("zn:5")
+TERM_X12 = "*".join(["x[1,2]"] * (MAX_TERM_DEGREE - 1))
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("x[٣,1]", Polynomial.from_var(Var(3, 1))),  # an Arabic-Indic digit
+        ("x[²,1]", "malformed number (at position 2)"),  # a digit int() refuses
+        ("x[0," + "1" * 5000 + "]", "malformed number (at position 4)"),
+        ("x[0,1]\x1c*　x[1,2]　", Polynomial.from_monomial(mono((0, 1), (1, 2)))),
+        ("\x1c-　x[ 1 ,\x1c2 ] ^　2", Polynomial.from_monomial(mono((1, 2), (1, 2)), -1)),
+        ("x [0,1]", "expected '[' (at position 1)"),
+        ("x[- 1,1]", "expected a number (at position 3)"),
+        ("+x[0,1]", "expected a variable factor (at position 0)"),
+        ("- -x[0,1]", "expected a variable factor (at position 2)"),
+        ("3 x[0,1]", "expected '+', '-', or end of input (at position 2)"),
+        ("0*x[0,1]", Polynomial.zero()),
+        ("x[0,1] - x[0,1] + 2", Polynomial({ONE: 2})),
+        ("", "empty input (at position 0)"),
+        (" \t\n", "empty input (at position 3)"),
+    ],
+)
+def test_parser_edge_cases(text, expected):
+    if isinstance(expected, Polynomial):
+        assert parse_polynomial(text, ZN5) == expected
+    else:
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial(text, ZN5)
+        assert str(err.value) == expected
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        # a term of MAX_TERM_DEGREE factors that ends in '*'
+        (TERM_X12 + "*x[1,2]*", f"expected a variable factor (at position {len(TERM_X12) + 8})"),
+        # ... or whose last factor is unclosed
+        (TERM_X12 + "*x[0,1", f"expected ']' (at position {len(TERM_X12) + 6})"),
+        # a long run of whitespace before a stray character
+        ("x[0,1]" + " " * 100_000 + "@", "expected '+', '-', or end of input (at position 100006)"),
+    ],
+)
+def test_refusal_takes_linear_time(text, error):
+    # a term pattern that backtracked more than linearly would hang here
+    start = time.perf_counter()
+    with pytest.raises(PolynomialSyntaxError) as err:
+        parse_polynomial(text, ZN5)
+    assert str(err.value) == error
+    assert time.perf_counter() - start < 2.0
