@@ -13,6 +13,8 @@ it a polynomial's terms, ``monomial_product`` a single word with coefficient
 entries it reaches; the empty word (a constant term) stays on every row, so
 it lands on the diagonal.  The naive product, the independent cross-check,
 lives in ``gradedpi.oracles``; this module does no matrix arithmetic.
+
+On a transitive grading the verdicts walk start row 1 alone.
 """
 
 from __future__ import annotations
@@ -133,7 +135,7 @@ class PolyMatrix:
         return f"PolyMatrix({self.n}x{self.n})"
 
 
-def _walk_words(grading: ElementaryGrading, terms: Iterable[Tuple[Monomial, int]]) -> PolyMatrix:
+def _walk_words(grading: ElementaryGrading, terms: Iterable[Tuple[Monomial, int]], starts=None) -> PolyMatrix:
     """Sum of coeff times the closed-form product of each word in ``terms``.
 
     ``terms`` holds (monomial, coefficient) pairs.  A word's product has one
@@ -142,7 +144,7 @@ def _walk_words(grading: ElementaryGrading, terms: Iterable[Tuple[Monomial, int]
     y[h_q,i_q,row_q] at position (k, final row).  The empty word starts from
     every row and survives to the same row with key (), the identity matrix.
     Each coefficient is merged straight into its entry; cancelled keys are
-    dropped when the entries are wrapped.
+    dropped when the entries are wrapped.  ``starts`` keeps only its rows.
     """
     n = grading.n
     acc: Dict[Position, Dict[tuple, int]] = {}
@@ -154,7 +156,8 @@ def _walk_words(grading: ElementaryGrading, terms: Iterable[Tuple[Monomial, int]
             if table is None:
                 table = tables[h] = grading._target(h)
             letters.append((h, i, table))
-        for start in letters[0][2] if letters else range(1, n + 1):
+        rows = letters[0][2] if letters else range(1, n + 1)
+        for start in rows if starts is None else [k for k in starts if k in rows]:
             cur = start
             powers: Dict[YVar, int] = {}
             for h, i, table in letters:
@@ -197,9 +200,39 @@ def _require_zero_constant(f: Polynomial) -> None:
         raise GradingError("centrality requires a zero constant term")
 
 
+def _decisive_rows(f: Polynomial, grading: ElementaryGrading) -> PolyMatrix:
+    """The generic evaluation of f, or its row 1 alone on a transitive
+    grading: the automorphism carrying row 1 to row k moves entry (1, j) to
+    (k, pi_k(j)), so row 1 holds the least nonzero cell if there is one."""
+    if grading._transitive:
+        return _walk_words(grading, f.terms.items(), (1,))
+    return evaluate(f, grading)
+
+
+def _row_one_nonscalar_position(value: PolyMatrix, grading: ElementaryGrading) -> Optional[Position]:
+    """``_nonscalar_position`` of the whole evaluation from its row 1 alone:
+    an off-diagonal cell anywhere puts one in row 1, and entry (k, k) is the
+    (1, 1) entry with each row r relabelled pi_k(r), built one k at a time
+    and stored into ``value`` when it differs."""
+    off = [pos for pos in value.cells if pos[0] != pos[1]]
+    if off:
+        return min(off)
+    first = value.cells.get((1, 1))
+    if first is None:  # every diagonal entry is a relabelled zero
+        return None
+    for k in range(2, grading.n + 1):
+        pi = grading.structure.row_translation(grading.row_grades, k)
+        entry = SparsePoly({tuple(sorted(((h, i, pi[r]), e) for (h, i, r), e in key)): c
+                            for key, c in first.terms.items()})
+        if entry != first:
+            value.cells[k, k] = entry
+            return (k, k)
+    return None
+
+
 def is_identity(f: Polynomial, grading: ElementaryGrading) -> bool:
     """Whether f vanishes under every grade-respecting substitution."""
-    return evaluate(f, grading).is_zero
+    return _decisive_rows(f, grading).is_zero
 
 
 def is_central(f: Polynomial, grading: ElementaryGrading) -> bool:
@@ -227,7 +260,7 @@ def _entry_report(kind: str, value: PolyMatrix, i: int, j: int, grading: Element
 
 def identity_witness(f: Polynomial, grading: ElementaryGrading) -> dict:
     """Verdict report for the identity check: verified, or a nonzero entry."""
-    value = evaluate(f, grading)
+    value = _decisive_rows(f, grading)
     if value.is_zero:
         return {"kind": "verified"}
     return _entry_report("nonzero_entry", value, *min(value.cells), grading)
@@ -240,8 +273,8 @@ def centrality_witness(f: Polynomial, grading: ElementaryGrading) -> dict:
     entry differing from the (1,1) entry, or a verified verdict.
     """
     _require_zero_constant(f)
-    value = evaluate(f, grading)
-    pos = value._nonscalar_position()
+    value = _decisive_rows(f, grading)
+    pos = _row_one_nonscalar_position(value, grading) if grading._transitive else value._nonscalar_position()
     if pos is None:
         return {"kind": "verified"}
     i, j = pos

@@ -29,9 +29,9 @@ MATRIX_UNITS = "matrix-unit-semigroup"
 #: absorbing zero of the matrix-position semigroup
 MU_ZERO: Grade = (0, 0)
 
-#: largest matrix size n a grading accepts.  A grading builds O(n^2) data
-#: (its support) before any polynomial is read, so larger sizes are refused
-#: up front.
+#: largest matrix size n a grading accepts.  A ``mu:`` or ``group:`` grading
+#: builds O(n^2) data (its support) before any polynomial is read, so larger
+#: sizes are refused up front.
 MAX_MATRIX_SIZE = 512
 
 #: largest order (names in the header) of a ``group:`` Cayley table.  The
@@ -125,6 +125,15 @@ class GradingStructure:
         cols = ((k, row_of.get(self.mul(g, h))) for k, g in enumerate(row_grades, 1))
         return {k: j for k, j in cols if j is not None}
 
+    def support(self, row_grades: Tuple[Grade, ...]) -> frozenset:
+        """All degrees carried by some matrix unit: n^2 unit degrees."""
+        n = len(row_grades)
+        return frozenset(self.unit_degree(row_grades, i, j) for i in range(1, n + 1) for j in range(1, n + 1))
+
+    def is_transitive(self, row_grades: Tuple[Grade, ...]) -> bool:
+        """Whether graded automorphisms carry row 1 to every row (only finite groups can)."""
+        return False
+
 
 class TableGroup(GradingStructure):
     """A finite group given by a validated Cayley table.
@@ -176,6 +185,19 @@ class TableGroup(GradingStructure):
                 raise GradingError(f"element {self.names[g]!r} has no inverse")
         return identity, tuple(inverse)
 
+    def is_transitive(self, row_grades: Tuple[Grade, ...]) -> bool:
+        """Whether every a = g_k g_1^-1 maps the row grades onto themselves, so
+        that left translation by a, keeping (a g_i)^-1 (a g_j) = g_i^-1 g_j,
+        is a graded automorphism carrying row 1 to row k.  n^2 products."""
+        grades, inv = set(row_grades), self.inverse(row_grades[0])
+        return all(self.mul(self.mul(a, inv), g) in grades for a in row_grades for g in row_grades)
+
+    def row_translation(self, row_grades: Tuple[Grade, ...], k: int) -> Dict[int, int]:
+        """Row r to the row of a g_r, with a = g_k g_1^-1 (k is 1-based)."""
+        a = self.mul(row_grades[k - 1], self.inverse(row_grades[0]))
+        row_of = {g: r for r, g in enumerate(row_grades, 1)}
+        return {r: row_of[self.mul(a, g)] for r, g in enumerate(row_grades, 1)}
+
     def mul(self, a: Grade, b: Grade) -> Grade:
         return self.table[a][b]
 
@@ -217,6 +239,13 @@ class CyclicGroup(TableGroup):
         """A literal reduces modulo the order."""
         return value % self.order
 
+    def support(self, row_grades: Tuple[Grade, ...]) -> frozenset:
+        full = len(row_grades) == self.order  # every residue is a row grade
+        return frozenset(range(self.order)) if full else super().support(row_grades)
+
+    def is_transitive(self, row_grades: Tuple[Grade, ...]) -> bool:
+        return len(row_grades) == self.order or super().is_transitive(row_grades)
+
 
 class IntegerGroup(GradingStructure):
     """The additive integers; grades are plain ints."""
@@ -238,6 +267,11 @@ class IntegerGroup(GradingStructure):
 
     def grade_from_int(self, value: int) -> Grade:
         return value
+
+    def support(self, row_grades: Tuple[Grade, ...]) -> frozenset:
+        n = len(row_grades)
+        consecutive = max(row_grades) - min(row_grades) == n - 1
+        return frozenset(range(1 - n, n)) if consecutive else super().support(row_grades)
 
 
 class MatrixUnitSemigroup(GradingStructure):
@@ -386,11 +420,8 @@ class ElementaryGrading:
         # row map per grade, filled on first use; it lives and dies with this
         # grading, which never changes after construction
         self._targets: Dict[Grade, Dict[int, int]] = {}
-        self._support = frozenset(
-            structure.unit_degree(row_grades, i, j)
-            for i in range(1, self.n + 1)
-            for j in range(1, self.n + 1)
-        )
+        self._support = structure.support(row_grades)
+        self._transitive = structure.is_transitive(row_grades)
 
     def unit_degree(self, i: int, j: int) -> Grade:
         """Degree of the matrix unit at row i, column j (both 1-based)."""
@@ -542,7 +573,10 @@ def _positive_int(text: str, what: str) -> int:
 def _parse_cayley_file(path: str):
     try:
         with open(path, "rb") as fh:
-            data = fh.read(MAX_CAYLEY_FILE_BYTES + 1)
+            # 64 KiB pieces up to just past the bound: no buffer of the bound
+            data = bytearray()
+            while len(data) <= MAX_CAYLEY_FILE_BYTES and (piece := fh.read(1 << 16)):
+                data += piece
         if len(data) > MAX_CAYLEY_FILE_BYTES:
             raise GradingError(
                 f"Cayley table file {path!r} exceeds the limit of {MAX_CAYLEY_FILE_BYTES} bytes"

@@ -17,16 +17,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KLEIN_TABLE
-from gradedpi.freealg import Monomial, Polynomial, Var
+from conftest import KLEIN_TABLE, permutation_group_table
+from gradedpi import genericmodel
+from gradedpi.bases import cyclic_symmetrization
+from gradedpi.freealg import Monomial, Polynomial, Var, parse_polynomial
 from gradedpi.genericmodel import (
     SparsePoly,
     centrality_witness,
     evaluate,
     identity_witness,
+    is_identity,
     monomial_product,
 )
 from gradedpi.grading import (
+    CyclicGroup,
     ElementaryGrading,
     GradingError,
     MU_ZERO,
@@ -253,3 +257,91 @@ class TestSparseAgainstDense:
                     word = [Var(rng.choice(pool), rng.randint(1, 2)) for _ in range(rng.randint(0, 5))]
                     terms[Monomial(word)] = rng.randint(-2, 2)
                 assert_same_evaluation(Polynomial(terms), grading)
+
+
+# -- verdicts from start row 1 on transitive gradings ---------------------------
+
+
+@pytest.fixture(scope="module")
+def transitive_kinds():
+    """Gradings whose row grades are a coset of a subgroup, so that start row
+    1 decides every verdict, with the rows in an order other than the
+    subgroup's; Klein (e, a, b) is not a coset and keeps the whole matrix."""
+    s3 = TableGroup(*permutation_group_table(3))
+    klein = _klein_grading().structure
+    return {
+        "zn:5 permuted": (ElementaryGrading(CyclicGroup(5), (3, 0, 4, 1, 2)), list(range(5))),
+        "zp:7": (parse_grading_spec("zp:7"), list(range(7))),
+        "S3 A3": (ElementaryGrading(s3, (3, 0, 4)), list(range(6))),
+        "S3 odd coset": (ElementaryGrading(s3, (5, 1, 2)), list(range(6))),
+        "klein (e,a)": (ElementaryGrading(klein, (0, 1)), list(range(4))),
+        "klein (e,a,b)": (ElementaryGrading(klein, (0, 1, 2)), list(range(4))),
+    }
+
+
+def _verdict_bytes(f, grading):
+    """is_identity and both witnesses, as compared text."""
+    return (
+        is_identity(f, grading),
+        _witness_bytes(identity_witness, f, grading),
+        _witness_bytes(centrality_witness, f, grading),
+    )
+
+
+def _reference_verdict_bytes(f, grading):
+    return (
+        reference_evaluate(f, grading).is_zero,
+        _witness_bytes(reference_identity_witness, f, grading),
+        _witness_bytes(reference_centrality_witness, f, grading),
+    )
+
+
+class TestRowOneAgainstDense:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_verdicts_match(self, transitive_kinds, data):
+        grading, grades = transitive_kinds[data.draw(st.sampled_from(sorted(transitive_kinds)))]
+        # closed words only, half of the time: the evaluation is then
+        # diagonal, and centrality compares every relabelled (1, 1) entry
+        closed = data.draw(st.booleans())
+        coeffs = st.sampled_from([1, -1, 2, -2])
+        terms: Dict[Monomial, int] = {}
+        for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
+            if closed or data.draw(st.booleans()):
+                rows = data.draw(
+                    st.lists(st.integers(min_value=1, max_value=grading.n), min_size=1, max_size=6)
+                )
+                rows.append(rows[0] if closed else data.draw(st.integers(1, grading.n)))
+                hs = [grading.unit_degree(a, b) for a, b in zip(rows, rows[1:])]
+            else:
+                hs = data.draw(st.lists(st.sampled_from(grades), min_size=1, max_size=6))
+            m = Monomial(Var(h, data.draw(st.integers(min_value=1, max_value=2))) for h in hs)
+            terms[m] = terms.get(m, 0) + data.draw(coeffs)
+        if data.draw(st.integers(min_value=0, max_value=4)) == 4:
+            terms[Monomial()] = data.draw(coeffs)
+        f = Polynomial(terms)
+        assert _verdict_bytes(f, grading) == _reference_verdict_bytes(f, grading)
+
+
+def _raise(*args):
+    raise AssertionError("the whole matrix was evaluated")
+
+
+def test_transitive_verdicts_never_evaluate_the_whole_matrix(monkeypatch):
+    grading = parse_grading_spec("zn:64")
+    central = cyclic_symmetrization([Var(1, l) for l in range(1, 65)], grading)
+    texts = (
+        "x[1,1]*x[63,2]*x[5,3] - x[63,2]*x[1,1]*x[5,3]",
+        "x[0,1]*x[0,2] - x[0,2]*x[0,1]",
+        "x[32,1]*x[32,2] + x[32,2]*x[32,1]",
+        "x[7,1]",
+    )
+    polys = [parse_polynomial(text, grading) for text in texts] + [central]
+    monkeypatch.setattr(genericmodel, "evaluate", _raise)
+    for f in polys:
+        assert _verdict_bytes(f, grading) == _reference_verdict_bytes(f, grading)
+    assert json.loads(_verdict_bytes(central, grading)[2]) == {"kind": "verified"}
+    # a tuple that is not a coset still reads the whole matrix
+    klein = ElementaryGrading(_klein_grading().structure, (0, 1, 2))
+    with pytest.raises(AssertionError, match="whole matrix"):
+        is_identity(Polynomial.from_monomial(Monomial([Var(1, 1)])), klein)

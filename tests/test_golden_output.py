@@ -16,6 +16,13 @@ row walk; their polynomials reach every witness kind on zn:3, z:3, mu:2 and
 the Klein group, and one has a constant term.  Paths of Cayley table files
 are replaced by ``<klein>`` before hashing, since a fixture file lives in a
 fresh temporary directory.
+
+The reports in ``TRANSITIVE_GOLDEN`` were recorded before the verdicts on
+gradings with transitive row grades were read from start row 1 alone: zn:64,
+zp:5 (a family (11) instance, alone and with one stray monomial) and the whole
+Klein group as row grades, where ``x[1,1]^2`` first differs from the (1,1)
+entry at (3,3).  On ``zn:n`` the first diagonal mismatch is always at (2,2):
+the relabelling of row k is the k-1 fold power of that of row 2.
 """
 
 import hashlib
@@ -150,3 +157,67 @@ def test_malformed_input_error_line(poly, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == MALFORMED[poly] + "\n"
+
+
+#: a family (11) instance on zp:5, the cyclic symmetrization of (2,1,3,3,1)
+FAMILY_11_ZP5 = (
+    "x[1,2]*x[3,3]*x[3,4]*x[1,5]*x[2,1] + x[1,5]*x[2,1]*x[1,2]*x[3,3]*x[3,4] "
+    "+ x[2,1]*x[1,2]*x[3,3]*x[3,4]*x[1,5] + x[3,3]*x[3,4]*x[1,5]*x[2,1]*x[1,2] "
+    "+ x[3,4]*x[1,5]*x[2,1]*x[1,2]*x[3,3]"
+)
+
+#: --poly arguments of the pinned reports on transitive gradings; each holds
+#: a false verdict, so it exits 1
+TRANSITIVE_POLYS = {
+    "check-identity zn:64": (
+        "x[1,1]*x[63,2]*x[5,3]",
+        "x[0,1]*x[0,2] - x[0,2]*x[0,1]",
+        "x[7,1]*x[9,2] - x[9,2]*x[7,1]",
+        "2 + x[1,1]*x[63,1] - x[63,1]*x[1,1]",
+    ),
+    "check-central zn:64": (
+        "x[32,1]*x[32,2] + x[32,2]*x[32,1]",
+        "x[1,1]",
+        "x[0,1]*x[0,2] - x[0,2]*x[0,1]",
+        "x[5,1]*x[59,2] + x[59,2]*x[5,1] - x[0,3]",
+    ),
+    "check-identity zp:5": (FAMILY_11_ZP5, FAMILY_11_ZP5 + " + x[0,9]"),
+    "check-central zp:5": (FAMILY_11_ZP5, FAMILY_11_ZP5 + " + x[0,9]"),
+    "check-identity klein-whole": ("x[1,1]*x[2,2] - x[2,2]*x[1,1]", "x[0,1]*x[0,2] - x[0,2]*x[0,1]", "x[3,1]"),
+    "check-central klein-whole": (
+        "x[1,1]^2",
+        "x[1,1]*x[1,2] + x[1,2]*x[1,1]",
+        "x[0,1]*x[0,2] - x[0,2]*x[0,1]",
+        "x[2,1]",
+    ),
+}
+
+TRANSITIVE_GOLDEN = {
+    ("check-central klein-whole", "json"): "9605b12806cadf20",
+    ("check-central klein-whole", "text"): "6eb093b5966b15fe",
+    ("check-central zn:64", "json"): "148443bee38c5196",
+    ("check-central zn:64", "text"): "219ccc085b01f186",
+    ("check-central zp:5", "json"): "71b3979595aa1570",
+    ("check-central zp:5", "text"): "dead75c743c2d406",
+    ("check-identity klein-whole", "json"): "3da136b08163c705",
+    ("check-identity klein-whole", "text"): "2315bbd2b0a6a671",
+    ("check-identity zn:64", "json"): "ca8baa97380f5ff2",
+    ("check-identity zn:64", "text"): "71fb7a1448dab151",
+    ("check-identity zp:5", "json"): "914f82aa9a360a75",
+    ("check-identity zp:5", "text"): "a9cdf9ae05d5e8c6",
+}
+
+
+def _transitive_report(case, fmt, klein_file, capsys):
+    command, spec = case.split()
+    spec = f"group:{klein_file}:e,a,b,c" if spec == "klein-whole" else spec
+    polys = [arg for text in TRANSITIVE_POLYS[case] for arg in ("--poly", text)]
+    assert main([command, "--grading", spec, *polys, "--format", fmt]) == 1
+    return capsys.readouterr().out.replace(klein_file, "<klein>")
+
+
+@pytest.mark.parametrize("case, fmt", sorted(TRANSITIVE_GOLDEN), ids=lambda x: str(x))
+def test_transitive_output_digest(case, fmt, capsys, klein_file):
+    out = _transitive_report(case, fmt, klein_file, capsys)
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()[:16]
+    assert digest == TRANSITIVE_GOLDEN[case, fmt]

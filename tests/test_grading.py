@@ -1,10 +1,13 @@
 """Grading structures, row maps, and complete sequences."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
+from conftest import KLEIN_TABLE, permutation_group_table
 from gradedpi.grading import (
+    MAX_CAYLEY_FILE_BYTES,
     CyclicGroup,
     ElementaryGrading,
     GradingError,
@@ -297,3 +300,31 @@ class TestSpecStrings:
         for bad in ("zn", "zn:x", "zn:0", "w:3", ""):
             with pytest.raises(GradingError):
                 parse_grading_spec(bad)
+
+
+class TestCayleyFileReading:
+    def test_one_byte_over_the_bound_is_refused(self, tmp_path):
+        path = tmp_path / "padded.txt"
+        padding = MAX_CAYLEY_FILE_BYTES - len(KLEIN_TABLE) - 2
+        path.write_text(KLEIN_TABLE + "#" + "p" * padding + "\n")
+        assert parse_grading_spec(f"group:{path}:e,a").n == 2
+        path.write_text(KLEIN_TABLE + "#" + "p" * (padding + 1) + "\n")
+        with pytest.raises(GradingError) as exc:
+            parse_grading_spec(f"group:{path}:e,a")
+        assert str(exc.value) == (
+            f"Cayley table file {str(path)!r} exceeds the limit of {MAX_CAYLEY_FILE_BYTES} bytes"
+        )
+
+    def test_small_file_costs_no_buffer_of_the_bound(self, tmp_path):
+        names, table = permutation_group_table(3)
+        path = tmp_path / "s3.txt"
+        path.write_text("\n".join([" ".join(names)] + [" ".join(names[v] for v in row) for row in table]))
+        tracemalloc.start()
+        try:
+            grading = parse_grading_spec(f"group:{path}:{names[0]},{names[3]},{names[4]}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grading.n == 3
+        # one 64 KiB piece at most, against 1 MB for a read of the bound
+        assert peak < 200_000, peak

@@ -36,6 +36,7 @@ from gradedpi.grading import (
     RowStep,
     TableGroup,
     _check_matrix_size,
+    parse_grading_spec,
 )
 from gradedpi.rewrite import (
     KILL_EMPTY_SUPPORT,
@@ -721,3 +722,100 @@ def test_classify_matches_reference_on_long_words(name, seed, strays):
     cls = classify(m, new)
     assert cls == reference_classify(m, old)
     assert cls.support_closed == _support_closed(m.h, new.structure.mul, new.support())
+
+
+# -- supports and transitivity from the structure --------------------------------
+
+
+def reference_support(structure, row_grades) -> frozenset:
+    """The n^2 support pass ``ElementaryGrading.__init__`` ran before the
+    structures gave supports, kept verbatim apart from its free names."""
+    n = len(row_grades)
+    return frozenset(
+        structure.unit_degree(row_grades, i, j)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    )
+
+
+def reference_describe(grading: ElementaryGrading) -> str:
+    if grading.spec:
+        return grading.spec
+    grades = ",".join(grading.structure.format_grade(g) for g in grading.row_grades)
+    return f"{grading.structure.kind}[{grades}]"
+
+
+def _support_cases():
+    """(name, grading, transitive): spec gradings, hand-built tuples, and the
+    group tuples that are and are not cosets of a subgroup."""
+    s3, klein = TableGroup(*permutation_group_table(3)), TableGroup(*_klein_table())
+    cases = [(f"zn:{n}", parse_grading_spec(f"zn:{n}"), True) for n in (*range(1, 10), 128)]
+    cases += [(f"z:{n}", parse_grading_spec(f"z:{n}"), False) for n in range(1, 10)]
+    cases += [(f"mu:{n}", parse_grading_spec(f"mu:{n}"), False) for n in range(1, 6)]
+    cases += [
+        ("zn:6 permuted", ElementaryGrading(CyclicGroup(6), (3, 1, 5, 0, 2, 4)), True),
+        ("zn:12 subgroup coset", ElementaryGrading(CyclicGroup(12), (5, 1, 9)), True),
+        ("zn:7 subset", ElementaryGrading(CyclicGroup(7), (0, 1, 3)), False),
+        ("z non-consecutive", ElementaryGrading(IntegerGroup(), (0, 2, 7)), False),
+        ("z consecutive permuted", ElementaryGrading(IntegerGroup(), (-1, 1, 0, 2)), False),
+        ("S3 (0,1,3)", ElementaryGrading(s3, (0, 1, 3)), False),
+        ("S3 A3", ElementaryGrading(s3, (3, 0, 4)), True),
+        ("S3 odd coset", ElementaryGrading(s3, (5, 1, 2)), True),
+        ("S3 whole", ElementaryGrading(s3, (2, 0, 5, 1, 4, 3)), True),
+        ("Klein (e,a)", ElementaryGrading(klein, (0, 1)), True),
+        ("Klein (e,a,b)", ElementaryGrading(klein, (0, 1, 2)), False),
+        ("Klein (b,c)", ElementaryGrading(klein, (2, 3)), True),
+    ]
+    return {name: (grading, transitive) for name, grading, transitive in cases}
+
+
+SUPPORT_CASES = _support_cases()
+
+
+@pytest.mark.parametrize("name", sorted(SUPPORT_CASES))
+def test_support_matches_the_n2_pass(name):
+    grading, _ = SUPPORT_CASES[name]
+    assert grading.support() == reference_support(grading.structure, grading.row_grades)
+    assert grading.describe() == reference_describe(grading)
+
+
+def _translations_keep_unit_degrees(grading: ElementaryGrading) -> bool:
+    """Brute force: for every row k some permutation of the rows sends row 1
+    to row k and keeps the degree of every matrix unit."""
+    n = grading.n
+    degree = {(i, j): grading.unit_degree(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
+    perms = itertools.permutations(range(1, n + 1))
+    keep = [p for p in perms if all(degree[p[i - 1], p[j - 1]] == d for (i, j), d in degree.items())]
+    return {p[0] for p in keep} == set(range(1, n + 1))
+
+
+@pytest.mark.parametrize("name", sorted(SUPPORT_CASES))
+def test_transitivity_from_the_structure(name):
+    grading, transitive = SUPPORT_CASES[name]
+    assert grading._transitive is transitive
+    if grading.n <= 6:
+        assert _translations_keep_unit_degrees(grading) is (transitive or grading.n == 1)
+    if not transitive:
+        return
+    st, rows, n = grading.structure, grading.row_grades, grading.n
+    for k in range(1, n + 1):
+        perm = st.row_translation(rows, k)
+        assert perm[1] == k and sorted(perm.values()) == list(range(1, n + 1))
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert grading.unit_degree(perm[i], perm[j]) == grading.unit_degree(i, j)
+
+
+def test_residue_table_agrees_with_the_cyclic_group():
+    """``TableGroup`` on the addition table of the residues takes the general
+    n^2 passes; ``CyclicGroup`` answers from the order alone."""
+    for n in range(1, 9):
+        names = [str(i) for i in range(n)]
+        table = TableGroup(names, [[(a + b) % n for b in range(n)] for a in range(n)])
+        for rows in (tuple((i + 3) % n for i in range(n)), tuple(range(0, n, 2)), (0,)):
+            by_table = ElementaryGrading(table, rows)
+            cyclic = ElementaryGrading(CyclicGroup(n), rows)
+            assert by_table.support() == cyclic.support() == reference_support(table, rows)
+            assert by_table._transitive == cyclic._transitive, (n, rows)
+            for k in range(1, len(rows) + 1) if cyclic._transitive else ():
+                assert table.row_translation(rows, k) == CyclicGroup(n).row_translation(rows, k)
