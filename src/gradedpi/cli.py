@@ -9,6 +9,7 @@ verify.  Exit status is 0 for verified/true verdicts, 1 for false verdicts,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -170,7 +171,9 @@ def _cmd_verify(args) -> int:
     return 0 if overall else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gradedpi",
         description=(

@@ -6,13 +6,14 @@ the matrix algebra over any infinite integral domain iff its generic
 evaluation is the zero matrix, and central iff the evaluation is scalar; both
 checks are exact integer polynomial comparisons.
 
-One routine walks words, in closed form from the row walks of their degree
-sequences rather than by iterated matrix multiplication: ``evaluate`` hands
-it a polynomial's terms, ``monomial_product`` a single word with coefficient
-1.  Each word is walked once and its coefficient merged into the sparse
-entries it reaches; the empty word (a constant term) stays on every row, so
-it lands on the diagonal.  The naive product, the independent cross-check,
-lives in ``gradedpi.oracles``; this module does no matrix arithmetic.
+One routine, ``_entry_keys``, walks a word in closed form from the row walks
+of its degree sequence, rather than by iterated matrix multiplication, and
+names the entry each surviving walk reaches.  ``evaluate`` and
+``monomial_product`` merge coefficients into those entries; ``entry_match``
+(and through it ``rewrite.find_congruence``) compares two words' entries.
+The empty word (a constant term) stays on every row, so it lands on the
+diagonal.  The naive product, the independent cross-check, lives in
+``gradedpi.oracles``; this module does no matrix arithmetic.
 
 On a transitive grading the verdicts walk start row 1 alone.
 """
@@ -135,43 +136,45 @@ class PolyMatrix:
         return f"PolyMatrix({self.n}x{self.n})"
 
 
-def _walk_words(grading: ElementaryGrading, terms: Iterable[Tuple[Monomial, int]], starts=None) -> PolyMatrix:
-    """Sum of coeff times the closed-form product of each word in ``terms``.
-
-    ``terms`` holds (monomial, coefficient) pairs.  A word's product has one
-    entry per row walk that survives it: walking from row k (a row admitting
-    the first letter) to the final row, it is y[h_1,i_1,row_1] * ... *
-    y[h_q,i_q,row_q] at position (k, final row).  The empty word starts from
-    every row and survives to the same row with key (), the identity matrix.
-    Each coefficient is merged straight into its entry; cancelled keys are
-    dropped when the entries are wrapped.  ``starts`` keeps only its rows.
+def _entry_keys(grading: ElementaryGrading, word, starts=None) -> Dict[int, Tuple[int, tuple]]:
+    """``{start: (end, key)}`` for each row walk that survives ``word`` (a
+    sequence of variables): walking from row k (a row admitting the first
+    letter) to the final row, the word's product is y[h_1,i_1,row_1] * ... *
+    y[h_q,i_q,row_q] at position (k, final row), and ``key`` is its sorted
+    tuple of (variable, exponent) pairs.  The empty word stays on every row
+    with key ().  ``starts`` keeps only its rows.
     """
-    n = grading.n
+    targets = grading._targets
+    letters = [(h, i, targets.get(h) or grading._target(h)) for h, i in word]
+    rows = letters[0][2] if letters else range(1, grading.n + 1)
+    keys = {}
+    for start in rows if starts is None else [k for k in starts if k in rows]:
+        cur = start
+        powers: Dict[YVar, int] = {}
+        for h, i, table in letters:
+            nxt = table.get(cur)
+            if nxt is None:
+                break
+            y = (h, i, cur)
+            powers[y] = powers.get(y, 0) + 1
+            cur = nxt
+        else:
+            keys[start] = (cur, tuple(sorted(powers.items())))
+    return keys
+
+
+def _walk_words(grading: ElementaryGrading, terms: Iterable[Tuple[Monomial, int]], starts=None) -> PolyMatrix:
+    """Sum of coeff times the closed-form product of each word in ``terms``,
+    (monomial, coefficient) pairs: each coefficient is merged straight into
+    the word's entries from ``_entry_keys``, and cancelled keys are dropped
+    when the entries are wrapped.  ``starts`` keeps only its rows.
+    """
     acc: Dict[Position, Dict[tuple, int]] = {}
-    tables: Dict[Grade, Dict[int, int]] = {}
     for mono, coeff in terms:
-        letters = []
-        for h, i in mono.vars:
-            table = tables.get(h)
-            if table is None:
-                table = tables[h] = grading._target(h)
-            letters.append((h, i, table))
-        rows = letters[0][2] if letters else range(1, n + 1)
-        for start in rows if starts is None else [k for k in starts if k in rows]:
-            cur = start
-            powers: Dict[YVar, int] = {}
-            for h, i, table in letters:
-                nxt = table.get(cur)
-                if nxt is None:
-                    break
-                y = (h, i, cur)
-                powers[y] = powers.get(y, 0) + 1
-                cur = nxt
-            else:
-                key = tuple(sorted(powers.items()))
-                cell = acc.setdefault((start, cur), {})
-                cell[key] = cell.get(key, 0) + coeff
-    return PolyMatrix(n, {pos: SparsePoly(cell) for pos, cell in acc.items()})
+        for start, (end, key) in _entry_keys(grading, mono.vars, starts).items():
+            cell = acc.setdefault((start, end), {})
+            cell[key] = cell.get(key, 0) + coeff
+    return PolyMatrix(grading.n, {pos: SparsePoly(cell) for pos, cell in acc.items()})
 
 
 def monomial_product(grading: ElementaryGrading, m: Monomial) -> PolyMatrix:
@@ -245,12 +248,13 @@ def is_central(f: Polynomial, grading: ElementaryGrading) -> bool:
 
 def entry_match(m1: Monomial, m2: Monomial, grading: ElementaryGrading) -> Optional[Tuple[int, int]]:
     """First position (row-major, 1-based) where both generic evaluations
-    carry the identical nonzero entry, or None."""
-    e1 = monomial_product(grading, m1).cells
-    e2 = monomial_product(grading, m2).cells
-    for pos in sorted(e1):
-        if e1[pos] == e2.get(pos):
-            return pos
+    carry the identical nonzero entry, or None.  A word's product has at most
+    one entry per start row, so the rows are tried in ascending order and the
+    first whose walks reach the same end row with the same key wins."""
+    for k in range(1, grading.n + 1):
+        hit = _entry_keys(grading, m1.vars, (k,)).get(k)
+        if hit is not None and hit == _entry_keys(grading, m2.vars, (k,)).get(k):
+            return k, hit[0]
     return None
 
 

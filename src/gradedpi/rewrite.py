@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .grading import ElementaryGrading, MATRIX_UNITS, _walk_from
 from .freealg import Monomial, format_monomial, parse_monomial
+from .genericmodel import entry_match
 
 SWAP_NEUTRAL = "commute-e"
 REVERSE_CONJUGATE = "reverse-conjugate"
@@ -123,35 +124,6 @@ def replay(proof: CongruenceProof, grading: ElementaryGrading) -> Monomial:
     return cur
 
 
-def _same_multiset(xs, ys) -> bool:
-    # Counters built from iterables hold only positive counts, so the C-level
-    # dict comparison decides multiset equality (Counter.__eq__ loops in Python)
-    return dict.__eq__(Counter(xs), Counter(ys))
-
-
-def _matched_walks(src, dst, targets, n_rows: int):
-    """Shared-entry data for two words (tuples of variables): the least row k
-    where both evaluations agree on a nonzero entry, along with both row paths.
-
-    Start rows are walked one at a time, in ascending order, and the scan
-    stops at the first row whose walks both survive, end on the same row and
-    visit every variable at the same rows.  ``targets`` maps each grade to its
-    row map, ``grading._target(grade)``.
-    """
-    hs_src = [v.grade for v in src]
-    hs_dst = [v.grade for v in dst]
-    for k in range(1, n_rows + 1):
-        p1 = _walk_from(targets, hs_src, k)
-        if p1 is None:
-            continue
-        p2 = _walk_from(targets, hs_dst, k)
-        if p2 is None or p1[-1] != p2[-1]:
-            continue
-        if _same_multiset(zip(src, p1), zip(dst, p2)):
-            return k, p1, p2
-    return None
-
-
 def _rearrangement_steps(grading, base, k1, k2, k3, cur):
     """Steps that bring the block [k2..k3] (suffix-relative) to the front.
 
@@ -188,27 +160,31 @@ def find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Opt
     exactly when no shared nonzero entry exists (except for m = n, which is
     trivially congruent).
 
-    Cost: one row-transition table per call, built from the distinct grades,
-    and one search for the shared entry, at the start.  Its two row paths
-    stay valid to the end: a strip drops the same (variable, row) pair from
-    both suffixes, and a swap or reversal reads every moved letter at the
-    row it had, so the source rows are permuted along with the letters.  The
-    proof is the one a fresh search per rearrangement would give: on group
-    gradings two matching start rows differ by a left multiplication of the
-    row grades, a bijection applied to both paths alike, so the first-in
-    first-out alignment by (variable, row) is the same; on ``mu:`` the first
-    letter fixes the start row.
+    Cost: one search for the shared entry, at the start: ``entry_match``,
+    which compares the two words' entry keys one start row at a time and
+    stops at the first matching row.  The alignment needs every letter's
+    row, which a key does not keep, so both row paths are then walked from
+    that row, through one row-transition table built from the distinct
+    grades.  The paths stay valid to the end: a strip drops the same
+    (variable, row) pair from both suffixes, and a swap or reversal reads
+    every moved letter at the row it had, so the source rows are permuted
+    along with the letters.  The proof is the one a fresh search per
+    rearrangement would give: on group gradings two matching start rows
+    differ by a left multiplication of the row grades, a bijection applied
+    to both paths alike, so the first-in first-out alignment by (variable,
+    row) is the same; on ``mu:`` the first letter fixes the start row.
     """
     if Counter(m.vars) != Counter(n.vars):
         raise RuleError("congruence needs monomials with the same variable multiset")
     if m == n:
         return CongruenceProof(m, n, ())
-    r = len(m)
-    targets = {g: grading._target(g) for g in {v.grade for v in m.vars}}
-    hit = _matched_walks(m.vars, n.vars, targets, grading.n)
+    hit = entry_match(m, n, grading)
     if hit is None:
         return None
-    _, src_rows, dst_rows = hit
+    r = len(m)
+    targets = {g: grading._target(g) for g in {v.grade for v in m.vars}}
+    src_rows = _walk_from(targets, [v.grade for v in m.vars], hit[0])
+    dst_rows = _walk_from(targets, [v.grade for v in n.vars], hit[0])
     steps: List[Step] = []
     cur = m
     base = 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -435,8 +436,16 @@ def battery_congruence(seed: int = 0) -> List[ItemResult]:
         if n_mono == m:
             continue
         proof = find_congruence(m, n_mono, grading)
-        match = entry_match(m, n_mono, grading)
-        if (proof is not None) != (match is not None):
+        # expected from row_walk alone, apart from the search find_congruence
+        # shares with entry_match: a start row where both walks end on one
+        # row and visit every variable at the same rows
+        p1 = grading.row_walk([v.grade for v in m.vars]).paths
+        p2 = grading.row_walk([v.grade for v in n_mono.vars]).paths
+        match = any(
+            p1[k][-1] == p2[k][-1] and Counter(zip(m.vars, p1[k])) == Counter(zip(n_mono.vars, p2[k]))
+            for k in p1.keys() & p2.keys()
+        )
+        if (proof is not None) != match:
             absent_ok = False
             break
         if proof is None:

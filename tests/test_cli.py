@@ -1,6 +1,10 @@
 """Command-line interface: verdicts, exit codes, and report stability."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -19,6 +23,7 @@ from gradedpi import (
     parse_monomial,
     parse_polynomial,
 )
+import gradedpi
 from gradedpi import cli, suites
 from gradedpi.cli import main
 from gradedpi.suites import SUITES
@@ -93,6 +98,29 @@ class TestCheckCommands:
             "--poly", "x[2,1]",
         )
         assert code == 0
+
+
+class TestParserReuse:
+    def test_repeated_calls_report_only_their_own_polys(self, capsys):
+        # the parser is built once per process; its --poly default list
+        # must not collect the arguments of earlier calls
+        first = ["check-identity", "--grading", "zn:2", "--format", "json", "--poly", "x[1,1]"]
+        second = ["check-identity", "--grading", "zn:2", "--format", "json", "--poly", "x[0,1]"]
+        polys = []
+        for argv in (first, second, first):
+            code, out, _ = run(capsys, *argv)
+            assert code == 1
+            polys.append([r["poly"] for r in json.loads(out)["results"]])
+        assert polys == [["x[1,1]"], ["x[0,1]"], ["x[1,1]"]]
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        code = "import gradedpi.cli as c\nprint(c.build_parser.cache_info().currsize)"
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gradedpi.__file__).parent.parent))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "0"
 
 
 class TestCongruence:

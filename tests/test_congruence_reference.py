@@ -287,13 +287,15 @@ def test_relabelled_source_rows_are_caught(gradings, monkeypatch):
     # letters break the alignment instead of giving a wrong proof
     grading = gradings["zn:3"]
     m, n = congruent_pair(grading, 96, random.Random("relabelled"))
-    real = rewrite._matched_walks
+    src_grades = [v.grade for v in m.vars]
+    assert src_grades != [v.grade for v in n.vars]
+    real = rewrite._walk_from
 
-    def relabelled(*args):
-        k, p_src, p_dst = real(*args)
-        return k, [row % grading.n + 1 for row in p_src], p_dst
+    def relabelled(targets, hs, start):
+        path = real(targets, hs, start)
+        return [row % grading.n + 1 for row in path] if hs == src_grades else path
 
-    monkeypatch.setattr(rewrite, "_matched_walks", relabelled)
+    monkeypatch.setattr(rewrite, "_walk_from", relabelled)
     with pytest.raises(RuntimeError, match="inconsistent alignment despite matching entries"):
         find_congruence(m, n, grading)
 
@@ -301,15 +303,20 @@ def test_relabelled_source_rows_are_caught(gradings, monkeypatch):
 def test_one_shared_entry_search_per_call(gradings, monkeypatch):
     grading = gradings["zn:5"]
     m, n = congruent_pair(grading, 96, random.Random("one-search"))
-    real = rewrite._matched_walks
-    calls = []
+    searches, walks = [], []
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(calls, real):
+        def wrapper(*args):
+            calls.append(args)
+            return real(*args)
 
-    monkeypatch.setattr(rewrite, "_matched_walks", counted)
+        return wrapper
+
+    monkeypatch.setattr(rewrite, "entry_match", counted(searches, rewrite.entry_match))
+    monkeypatch.setattr(rewrite, "_walk_from", counted(walks, rewrite._walk_from))
     proof = find_congruence(m, n, grading)
     assert len(proof.steps) > 1
     assert replay(proof, grading) == n
-    assert len(calls) == 1
+    assert len(searches) == 1
+    # both row paths are walked once, from the row the search found
+    assert len(walks) == 2

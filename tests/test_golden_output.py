@@ -6,10 +6,12 @@ complete-sequences`` before the complete sequences were built from their
 partial sums instead of filtered.  A refactor that changes a single byte of
 these reports fails here.  ``basis zp:7 central``, refused by the filter, was
 recorded after its family (11) sequences were checked once against the
-filter run at n = 7.  The ``congruence`` reports were recorded before the
-proof construction stopped searching for the shared entry again after every
-rearrangement; each pair is built with ``congruent_pair`` from a fixed seed
-string.  The ``check-identity``, ``check-central`` and ``enumerate --what
+filter run at n = 7.  The ``congruence`` reports on zn:5 and mu:3 were
+recorded before the proof construction stopped searching for the shared
+entry again after every rearrangement, and those on z:3, the Klein group and
+the zn:3 pair without a shared entry before the search read the entry keys
+of one walk; each congruent pair is built with ``congruent_pair`` from a
+fixed seed string.  The ``check-identity``, ``check-central`` and ``enumerate --what
 monomial-identities`` reports, and the error lines of malformed inputs, were
 recorded before ``evaluate`` and ``monomial_product`` were folded into one
 row walk; their polynomials reach every witness kind on zn:3, z:3, mu:2 and
@@ -64,6 +66,12 @@ GOLDEN = {
     ("congruence zn:5 384", "json"): "1d38eda098c2a2fb",
     ("congruence mu:3 192", "text"): "b47d440d4e9acd77",
     ("congruence mu:3 192", "json"): "2b823944229aea0d",
+    ("congruence z:3 192", "text"): "cd5e00151daefe60",
+    ("congruence z:3 192", "json"): "ac034e16600ec32e",
+    ("congruence klein 192", "text"): "9d763a126220bb00",
+    ("congruence klein 192", "json"): "93c8e569c6bf128c",
+    ("congruence zn:3 absent", "text"): "39d20a49b69b323b",
+    ("congruence zn:3 absent", "json"): "d84f75b9a8c4ade5",
     ("check-identity zn:3", "text"): "7624944d8210fc44",
     ("check-identity zn:3", "json"): "b39a9d749385b6e7",
     ("check-central zn:3", "text"): "0c2da7a791d76616",
@@ -90,9 +98,10 @@ GOLDEN = {
     ("enumerate klein monomial-identities", "json"): "4dfc5161d2d45d71",
 }
 
-#: --poly arguments of the pinned check reports; each report holds a false
-#: verdict, so it exits 1
+#: --poly arguments of the pinned check reports and of one congruence report
+#: without a shared entry; each report holds a false verdict, so it exits 1
 POLYS = {
+    "congruence zn:3 absent": ("x[1,1]*x[2,2]*x[0,3]", "x[2,2]*x[1,1]*x[0,3]"),
     "check-identity zn:3": (
         "x[0,1]*x[0,2] - x[0,2]*x[0,1]",
         "x[1,1]*x[2,1] - x[2,1]*x[1,1]",
@@ -128,13 +137,13 @@ MALFORMED = {
 def _argv(case, fmt, klein_spec):
     if case == "verify":
         return ["verify", "--suite", "all", "--seed", "0", "--format", fmt]
-    command, spec, *kind = case.split()
-    if command == "congruence":
+    command, name, *kind = case.split()
+    spec = klein_spec if name == "klein" else name
+    if command == "congruence" and case not in POLYS:
         grading = parse_grading_spec(spec)
-        pair = congruent_pair(grading, int(kind[0]), random.Random(f"golden:{spec}:{kind[0]}"))
+        pair = congruent_pair(grading, int(kind[0]), random.Random(f"golden:{name}:{kind[0]}"))
         polys = [arg for m in pair for arg in ("--poly", format_monomial(m, grading))]
         return [command, "--grading", spec, *polys, "--format", fmt]
-    spec = klein_spec if spec == "klein" else spec
     if case in POLYS:
         polys = [arg for text in POLYS[case] for arg in ("--poly", text)]
         return [command, "--grading", spec, *polys, "--format", fmt]
