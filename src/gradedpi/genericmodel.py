@@ -8,18 +8,24 @@ checks are exact integer polynomial comparisons.
 
 One routine, ``_entry_keys``, walks a word in closed form from the row walks
 of its degree sequence, rather than by iterated matrix multiplication, and
-names the entry each surviving walk reaches.  ``evaluate`` and
-``monomial_product`` merge coefficients into those entries; ``entry_match``
-(and through it ``rewrite.find_congruence``) compares two words' entries.
-The empty word (a constant term) stays on every row, so it lands on the
-diagonal.  The naive product, the independent cross-check, lives in
-``gradedpi.oracles``; this module does no matrix arithmetic.
+names the entry each surviving walk reaches, coded as a sorted tuple of
+ints, one per letter (its variable's code on the grading plus its row).
+Coefficients are merged into coded entries; ``evaluate`` and
+``monomial_product`` decode their cells into (variable, exponent) keys, the
+verdicts decode nothing but the entries a witness prints, and
+``entry_match`` (and through it ``rewrite.find_congruence``) compares two
+words' coded entries.  The empty word (a constant term) stays on every row,
+so it lands on the diagonal.  The naive product, the independent
+cross-check, lives in ``gradedpi.oracles``; this module does no matrix
+arithmetic.
 
 On a transitive grading the verdicts walk start row 1 alone.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from collections import Counter
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -140,41 +146,68 @@ def _entry_keys(grading: ElementaryGrading, word, starts=None) -> Dict[int, Tupl
     """``{start: (end, key)}`` for each row walk that survives ``word`` (a
     sequence of variables): walking from row k (a row admitting the first
     letter) to the final row, the word's product is y[h_1,i_1,row_1] * ... *
-    y[h_q,i_q,row_q] at position (k, final row), and ``key`` is its sorted
-    tuple of (variable, exponent) pairs.  The empty word stays on every row
-    with key ().  ``starts`` keeps only its rows.
+    y[h_q,i_q,row_q] at position (k, final row), and ``key`` is that entry
+    coded: the sorted tuple of one int per letter, the letter's variable code
+    (``ElementaryGrading._letter``) plus its row, so a repeated int is an
+    exponent.  ``_decode_key`` gives the (variable, exponent) pairs.  The
+    empty word stays on every row with key ().  ``starts`` keeps only its
+    rows.
     """
-    targets = grading._targets
-    letters = [(h, i, targets.get(h) or grading._target(h)) for h, i in word]
-    rows = letters[0][2] if letters else range(1, grading.n + 1)
+    known = grading._letters
+    letters = [known.get(v) or grading._letter(v) for v in word]
+    rows = letters[0][1] if letters else range(1, grading.n + 1)
     keys = {}
     for start in rows if starts is None else [k for k in starts if k in rows]:
         cur = start
-        powers: Dict[YVar, int] = {}
-        for h, i, table in letters:
+        key = []
+        for code, table in letters:
             nxt = table.get(cur)
             if nxt is None:
                 break
-            y = (h, i, cur)
-            powers[y] = powers.get(y, 0) + 1
+            key.append(code + cur)
             cur = nxt
         else:
-            keys[start] = (cur, tuple(sorted(powers.items())))
+            key.sort()
+            keys[start] = (cur, tuple(key))
     return keys
 
 
-def _walk_words(grading: ElementaryGrading, terms: Iterable[Tuple[Monomial, int]], starts=None) -> PolyMatrix:
-    """Sum of coeff times the closed-form product of each word in ``terms``,
-    (monomial, coefficient) pairs: each coefficient is merged straight into
-    the word's entries from ``_entry_keys``, and cancelled keys are dropped
-    when the entries are wrapped.  ``starts`` keeps only its rows.
+def _decode_key(grading: ElementaryGrading, key: tuple) -> tuple:
+    """The sorted ((grade, index, row), exponent) pairs of a coded key."""
+    coded_vars, stride = grading._coded_vars, grading.n + 1
+    # most keys repeat no letter, and a set is cheaper than a Counter
+    counts = zip(key, itertools.repeat(1)) if len(set(key)) == len(key) else Counter(key).items()
+    pairs = [(coded_vars[x // stride - 1] + (x % stride,), e) for x, e in counts]
+    pairs.sort()
+    return tuple(pairs)
+
+
+def _decode(grading: ElementaryGrading, entry: SparsePoly) -> SparsePoly:
+    return SparsePoly({_decode_key(grading, key): c for key, c in entry.terms.items()})
+
+
+def _walk_words(grading: ElementaryGrading, terms: Iterable[Tuple[Monomial, int]], starts=None) -> Dict[Position, Dict[tuple, int]]:
+    """Coded entries, per position, of the sum of coeff times the
+    closed-form product of each word in ``terms``, (monomial, coefficient)
+    pairs: each coefficient is merged straight into the word's entries from
+    ``_entry_keys``; a cancelled key stays, at 0, until the entries are
+    wrapped.  ``starts`` keeps only its rows.
     """
     acc: Dict[Position, Dict[tuple, int]] = {}
     for mono, coeff in terms:
         for start, (end, key) in _entry_keys(grading, mono.vars, starts).items():
             cell = acc.setdefault((start, end), {})
             cell[key] = cell.get(key, 0) + coeff
-    return PolyMatrix(grading.n, {pos: SparsePoly(cell) for pos, cell in acc.items()})
+    return acc
+
+
+def _decoded_walk(grading: ElementaryGrading, terms: Iterable[Tuple[Monomial, int]]) -> PolyMatrix:
+    """``_walk_words`` from every start row, each surviving key decoded as
+    it is wrapped."""
+    return PolyMatrix(grading.n, {
+        pos: SparsePoly({_decode_key(grading, key): c for key, c in cell.items() if c})
+        for pos, cell in _walk_words(grading, terms).items()
+    })
 
 
 def monomial_product(grading: ElementaryGrading, m: Monomial) -> PolyMatrix:
@@ -184,7 +217,7 @@ def monomial_product(grading: ElementaryGrading, m: Monomial) -> PolyMatrix:
     y[h_1,i_1,row_1] * ... * y[h_q,i_q,row_q] at position (k, final row).
     The empty word gives the identity matrix.
     """
-    return _walk_words(grading, ((m, 1),))
+    return _decoded_walk(grading, ((m, 1),))
 
 
 def evaluate(f: Polynomial, grading: ElementaryGrading) -> PolyMatrix:
@@ -195,7 +228,7 @@ def evaluate(f: Polynomial, grading: ElementaryGrading) -> PolyMatrix:
     order cannot affect the outcome.  A term costs O(surviving rows *
     length), with no n-by-n work per term.
     """
-    return _walk_words(grading, f.terms.items())
+    return _decoded_walk(grading, f.terms.items())
 
 
 def _require_zero_constant(f: Polynomial) -> None:
@@ -204,33 +237,61 @@ def _require_zero_constant(f: Polynomial) -> None:
 
 
 def _decisive_rows(f: Polynomial, grading: ElementaryGrading) -> PolyMatrix:
-    """The generic evaluation of f, or its row 1 alone on a transitive
+    """The coded generic evaluation of f, or its row 1 alone on a transitive
     grading: the automorphism carrying row 1 to row k moves entry (1, j) to
     (k, pi_k(j)), so row 1 holds the least nonzero cell if there is one."""
-    if grading._transitive:
-        return _walk_words(grading, f.terms.items(), (1,))
-    return evaluate(f, grading)
+    cells = _walk_words(grading, f.terms.items(), (1,) if grading._transitive else None)
+    return PolyMatrix(grading.n, {pos: SparsePoly(cell) for pos, cell in cells.items()})
+
+
+def _relabelled(entry: SparsePoly, pi: Dict[int, int], stride: int) -> SparsePoly:
+    """A coded entry with each row r read as pi[r]: x becomes x - r + pi[r]
+    for r = x mod stride."""
+    shift = [0] + [pi[r] - r for r in range(1, stride)]
+    return SparsePoly({tuple(sorted(x + shift[x % stride] for x in key)): c for key, c in entry.terms.items()})
 
 
 def _row_one_nonscalar_position(value: PolyMatrix, grading: ElementaryGrading) -> Optional[Position]:
-    """``_nonscalar_position`` of the whole evaluation from its row 1 alone:
-    an off-diagonal cell anywhere puts one in row 1, and entry (k, k) is the
-    (1, 1) entry with each row r relabelled pi_k(r), built one k at a time
-    and stored into ``value`` when it differs."""
+    """``_nonscalar_position`` of the whole coded evaluation from its row 1
+    alone: an off-diagonal cell anywhere puts one in row 1, and entry (k, k)
+    is the (1, 1) entry with each row r relabelled pi_k(r).
+
+    The pi_k form a group acting regularly on the rows (pi_k carries row 1
+    to row k), and the relabellings that keep the (1, 1) entry form a
+    subgroup, so the entry is checked against a generating set alone: pi_k
+    for each k outside the orbit of row 1 under the generators so far.  Only
+    when a generator moves it are the pi_k tried in order, and the first
+    differing entry is stored into ``value``.
+    """
     off = [pos for pos in value.cells if pos[0] != pos[1]]
     if off:
         return min(off)
     first = value.cells.get((1, 1))
     if first is None:  # every diagonal entry is a relabelled zero
         return None
-    for k in range(2, grading.n + 1):
-        pi = grading.structure.row_translation(grading.row_grades, k)
-        entry = SparsePoly({tuple(sorted(((h, i, pi[r]), e) for (h, i, r), e in key)): c
-                            for key, c in first.terms.items()})
+    n = grading.n
+    translation = functools.partial(grading.structure.row_translation, grading.row_grades)
+    generators = []
+    orbit = {1}
+    for k in range(2, n + 1):
+        if k in orbit:
+            continue
+        generators.append(translation(k))
+        frontier = list(orbit)
+        while frontier:
+            r = frontier.pop()
+            for pi in generators:
+                if pi[r] not in orbit:
+                    orbit.add(pi[r])
+                    frontier.append(pi[r])
+    if all(_relabelled(first, pi, n + 1) == first for pi in generators):
+        return None
+    for k in range(2, n + 1):
+        entry = _relabelled(first, translation(k), n + 1)
         if entry != first:
             value.cells[k, k] = entry
             return (k, k)
-    return None
+    raise RuntimeError("a generator moved the (1, 1) entry, but no pi_k does")
 
 
 def is_identity(f: Polynomial, grading: ElementaryGrading) -> bool:
@@ -259,7 +320,9 @@ def entry_match(m1: Monomial, m2: Monomial, grading: ElementaryGrading) -> Optio
 
 
 def _entry_report(kind: str, value: PolyMatrix, i: int, j: int, grading: ElementaryGrading) -> dict:
-    return {"kind": kind, "position": [i, j], "entry": value.entry(i, j).text(grading)}
+    """A witness for the coded evaluation ``value``: its one printed entry is
+    decoded."""
+    return {"kind": kind, "position": [i, j], "entry": _decode(grading, value.entry(i, j)).text(grading)}
 
 
 def identity_witness(f: Polynomial, grading: ElementaryGrading) -> dict:
@@ -286,5 +349,5 @@ def centrality_witness(f: Polynomial, grading: ElementaryGrading) -> dict:
         return _entry_report("offdiag", value, i, j, grading)
     report = _entry_report("diag_mismatch", value, i, i, grading)
     report["reference_position"] = [1, 1]
-    report["reference_entry"] = value.entry(1, 1).text(grading)
+    report["reference_entry"] = _decode(grading, value.entry(1, 1)).text(grading)
     return report

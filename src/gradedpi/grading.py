@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Grade = Union[int, Tuple[int, int]]
 
@@ -124,6 +124,15 @@ class GradingStructure:
         row_of = {g: k for k, g in enumerate(row_grades, 1)}
         cols = ((k, row_of.get(self.mul(g, h))) for k, g in enumerate(row_grades, 1))
         return {k: j for k, j in cols if j is not None}
+
+    def row_maps(self, row_grades: Tuple[Grade, ...]) -> Callable[[Grade], Dict[int, int]]:
+        """``row_map`` under these row grades, as a function of the grade.
+
+        The shape of the tuple is read here, once per grading; a kind with a
+        closed form for its canonical tuple returns that, equal to
+        ``row_map`` in values and in key order (rows ascending).
+        """
+        return functools.partial(self.row_map, row_grades)
 
     def support(self, row_grades: Tuple[Grade, ...]) -> frozenset:
         """All degrees carried by some matrix unit: n^2 unit degrees."""
@@ -239,6 +248,16 @@ class CyclicGroup(TableGroup):
         """A literal reduces modulo the order."""
         return value % self.order
 
+    def row_maps(self, row_grades: Tuple[Grade, ...]) -> Callable[[Grade], Dict[int, int]]:
+        """On the canonical tuple (row k has grade k mod n) a residue h sends
+        row k to row k + h, wrapping past n: rows 1..n meet columns h+1..n
+        then 1..h."""
+        n = self.order
+        if row_grades != (*range(1, n), 0):
+            return super().row_maps(row_grades)
+        rows = range(1, n + 1)
+        return lambda h: dict(zip(rows, itertools.chain(range(h + 1, n + 1), range(1, h + 1))))
+
     def support(self, row_grades: Tuple[Grade, ...]) -> frozenset:
         full = len(row_grades) == self.order  # every residue is a row grade
         return frozenset(range(self.order)) if full else super().support(row_grades)
@@ -267,6 +286,19 @@ class IntegerGroup(GradingStructure):
 
     def grade_from_int(self, value: int) -> Grade:
         return value
+
+    def row_maps(self, row_grades: Tuple[Grade, ...]) -> Callable[[Grade], Dict[int, int]]:
+        """On ascending consecutive grades a, ..., a + n - 1 a degree h sends
+        row k to row k + h, for the rows k with 1 <= k + h <= n."""
+        n, a = len(row_grades), row_grades[0]
+        if row_grades != tuple(range(a, a + n)):
+            return super().row_maps(row_grades)
+
+        def row_map(h: Grade) -> Dict[int, int]:
+            lo, hi = max(1, 1 - h), min(n, n - h)
+            return dict(zip(range(lo, hi + 1), range(lo + h, hi + h + 1)))
+
+        return row_map
 
     def support(self, row_grades: Tuple[Grade, ...]) -> frozenset:
         n = len(row_grades)
@@ -420,6 +452,10 @@ class ElementaryGrading:
         # row map per grade, filled on first use; it lives and dies with this
         # grading, which never changes after construction
         self._targets: Dict[Grade, Dict[int, int]] = {}
+        self._row_map = structure.row_maps(row_grades)
+        # integer code and row map per variable, filled on first use
+        self._letters: Dict[tuple, Tuple[int, Dict[int, int]]] = {}
+        self._coded_vars: List[tuple] = []
         self._support = structure.support(row_grades)
         self._transitive = structure.is_transitive(row_grades)
 
@@ -449,8 +485,22 @@ class ElementaryGrading:
         target = self._targets.get(h)
         if target is None:
             self.structure.require(h)
-            target = self._targets[h] = self.structure.row_map(self.row_grades, h)
+            target = self._targets[h] = self._row_map(h)
         return target
+
+    def _letter(self, var: tuple) -> Tuple[int, Dict[int, int]]:
+        """Integer code and row map of a variable (grade, index), computed
+        once per variable.  The code is m * (n + 1) for the m-th distinct
+        variable seen by this grading, m >= 1, and the variable read at row r
+        (1 <= r <= n) is the int ``code + r``: ``divmod(x, n + 1)`` recovers
+        (m, r) and ``_coded_vars[m - 1]`` the variable.  Codes of one grading
+        are comparable across calls."""
+        letter = self._letters.get(var)
+        if letter is None:
+            target = self._target(var[0])
+            self._coded_vars.append(var)
+            letter = self._letters[var] = (len(self._coded_vars) * (self.n + 1), target)
+        return letter
 
     def row_walk(self, hs: Sequence[Grade]) -> RowWalk:
         """Surviving row walks for a left-to-right sequence of degrees."""

@@ -516,3 +516,22 @@ class TestResourceCaps:
         families = {fam["id"]: fam for fam in json.loads(out)["families"]}
         assert (families["(11)"]["instances"], families["(11)"]["verified"]) == (720, 720)
         assert all(fam["verified"] == fam["instances"] for fam in families.values())
+
+
+class TestBoundedMemory:
+    def test_wide_neutral_term_is_checked_in_bounded_memory(self, capsys):
+        # one term of 4096 distinct neutral letters survives on every row of
+        # z:61: about 250 000 coded letters, of which the witness decodes one
+        # entry (the tuple keys peaked at 32 MB traced)
+        poly = "*".join(f"x[0,{k}]" for k in range(1, MAX_TERM_DEGREE + 1))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "check-identity", "--grading", "z:61", "--poly", poly, "--format", "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (1, "")
+        witness = json.loads(out)["results"][0]["witness"]
+        assert witness["position"] == [1, 1]
+        assert witness["entry"] == "*".join(f"y[0,{k},1]" for k in range(1, MAX_TERM_DEGREE + 1))
+        assert peak < 16_000_000, peak

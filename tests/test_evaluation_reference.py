@@ -338,6 +338,16 @@ def test_transitive_verdicts_never_evaluate_the_whole_matrix(monkeypatch):
     )
     polys = [parse_polynomial(text, grading) for text in texts] + [central]
     monkeypatch.setattr(genericmodel, "evaluate", _raise)
+    # the verdicts walk coded keys without ``evaluate``: a walk from every
+    # start row is the whole matrix
+    walk_words = genericmodel._walk_words
+
+    def row_one_only(grading, terms, starts=None):
+        if starts is None:
+            _raise()
+        return walk_words(grading, terms, starts)
+
+    monkeypatch.setattr(genericmodel, "_walk_words", row_one_only)
     for f in polys:
         assert _verdict_bytes(f, grading) == _reference_verdict_bytes(f, grading)
     assert json.loads(_verdict_bytes(central, grading)[2]) == {"kind": "verified"}

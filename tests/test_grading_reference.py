@@ -31,6 +31,7 @@ from gradedpi.grading import (
     ElementaryGrading,
     Grade,
     GradingError,
+    GradingStructure,
     IntegerGroup,
     MatrixUnitSemigroup,
     RowStep,
@@ -819,3 +820,49 @@ def test_residue_table_agrees_with_the_cyclic_group():
             assert by_table._transitive == cyclic._transitive, (n, rows)
             for k in range(1, len(rows) + 1) if cyclic._transitive else ():
                 assert table.row_translation(rows, k) == CyclicGroup(n).row_translation(rows, k)
+
+
+# -- closed-form row maps -----------------------------------------------------------
+
+
+def _row_map_cases():
+    """Tuples with a closed-form row map (the canonical residue tuple, and
+    ascending consecutive integers), and tuples of the same kinds that must
+    fall back to ``GradingStructure.row_map``."""
+    closed = [f"{kind}:{n}" for kind in ("zn", "z") for n in range(1, 10)] + ["zn:128", "zp:7", "z:64"]
+    closed = [(spec, parse_grading_spec(spec).structure, parse_grading_spec(spec).row_grades) for spec in closed]
+    closed.append(("z shifted", IntegerGroup(), (-3, -2, -1, 0)))
+    generic = [
+        ("zn:6 permuted", CyclicGroup(6), (3, 1, 5, 0, 2, 4)),
+        ("zn:7 from 0", CyclicGroup(7), tuple(range(7))),
+        ("zn:7 subset", CyclicGroup(7), (0, 1, 3)),
+        ("z non-consecutive", IntegerGroup(), (0, 2, 7)),
+        ("z consecutive permuted", IntegerGroup(), (-1, 1, 0, 2)),
+        ("z descending", IntegerGroup(), (3, 2, 1)),
+    ]
+    return closed, generic
+
+
+def _grades_in_and_out(structure, n):
+    return range(structure.order) if structure.is_cyclic else range(-n - 2, n + 3)
+
+
+def test_closed_form_row_maps_match_the_generic_one(monkeypatch):
+    closed, generic = _row_map_cases()
+    generic_row_map = GradingStructure.row_map
+    for name, structure, rows in generic:
+        grading = ElementaryGrading(structure, rows)
+        for h in _grades_in_and_out(structure, len(rows)):
+            want = generic_row_map(structure, rows, h)
+            assert list(grading._target(h).items()) == list(want.items()), (name, h)
+
+    def refuse(*args):
+        raise AssertionError("the generic row map was used")
+
+    monkeypatch.setattr(GradingStructure, "row_map", refuse)
+    for name, structure, rows in closed:
+        grading = ElementaryGrading(structure, rows)
+        for h in _grades_in_and_out(structure, len(rows)):
+            # equal in values and in key order: start rows iterate the map
+            want = generic_row_map(structure, rows, h)
+            assert list(grading._target(h).items()) == list(want.items()), (name, h)
