@@ -241,6 +241,9 @@ class CyclicGroup(TableGroup):
     def mul(self, a: Grade, b: Grade) -> Grade:
         return (a + b) % self.order
 
+    def product(self, grades: Iterable[Grade]) -> Grade:
+        return sum(grades) % self.order
+
     def inverse(self, g: Grade) -> Grade:
         return -g % self.order
 
@@ -274,6 +277,9 @@ class IntegerGroup(GradingStructure):
 
     def mul(self, a: Grade, b: Grade) -> Grade:
         return a + b
+
+    def product(self, grades: Iterable[Grade]) -> Grade:
+        return sum(grades)
 
     def inverse(self, g: Grade) -> Grade:
         return -g

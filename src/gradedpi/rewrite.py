@@ -165,14 +165,19 @@ def find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Opt
     stops at the first matching row.  The alignment needs every letter's
     row, which a key does not keep, so both row paths are then walked from
     that row, through one row-transition table built from the distinct
-    grades.  The paths stay valid to the end: a strip drops the same
-    (variable, row) pair from both suffixes, and a swap or reversal reads
-    every moved letter at the row it had, so the source rows are permuted
-    along with the letters.  The proof is the one a fresh search per
+    grades, and the whole words are paired once, source with target
+    positions, first in first out by (variable, row).  That pairing is kept
+    to the end.  A strip changes no pair, since equal prefixes pair with
+    themselves.  A swap or reversal reads every moved letter at the row it
+    had, so each letter keeps its (variable, row) key; per key, the k3
+    letters it moves held the first target positions of their key, and they
+    take them back in their new order, in O(k3 log k3), while every later
+    letter keeps its pair.  That is the first-in first-out pairing of the
+    new suffixes, so the proof is the one a fresh search per
     rearrangement would give: on group gradings two matching start rows
     differ by a left multiplication of the row grades, a bijection applied
-    to both paths alike, so the first-in first-out alignment by (variable,
-    row) is the same; on ``mu:`` the first letter fixes the start row.
+    to both paths alike, so the pairing by (variable, row) is the same; on
+    ``mu:`` the first letter fixes the start row.
     """
     if Counter(m.vars) != Counter(n.vars):
         raise RuleError("congruence needs monomials with the same variable multiset")
@@ -185,6 +190,22 @@ def find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Opt
     targets = {g: grading._target(g) for g in {v.grade for v in m.vars}}
     src_rows = _walk_from(targets, [v.grade for v in m.vars], hit[0])
     dst_rows = _walk_from(targets, [v.grade for v in n.vars], hit[0])
+    # pair source with target positions by (variable, row), first in first
+    # out; a (variable, row) pair is numbered by its first target position
+    ids: Dict[tuple, int] = {}
+    slots: Dict[int, deque] = {}
+    for d, pair in enumerate(zip(n.vars, dst_rows)):
+        slots.setdefault(ids.setdefault(pair, d), deque()).append(d)
+    keys = [ids.get(pair) for pair in zip(m.vars, src_rows)]
+    at = [0] * r  # at[d]: the source position paired with target position d
+    to = [0] * r  # to[s]: the target position paired with source position s
+    for s, key in enumerate(keys):
+        queue = slots.get(key)
+        if not queue:
+            raise RuntimeError("inconsistent alignment despite matching entries")
+        d = queue.popleft()
+        at[d] = s
+        to[s] = d
     steps: List[Step] = []
     cur = m
     base = 0
@@ -196,31 +217,30 @@ def find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Opt
         if cur.vars[base] == n.vars[base]:
             base += 1
             continue
-        # align src positions with dst positions by (variable, row)
-        slots: Dict[tuple, deque] = {}
-        for c, key in enumerate(zip(n.vars[base:], dst_rows[base:]), 1):
-            slots.setdefault(key, deque()).append(c)
-        pos: Dict[int, int] = {}
-        for c, key in enumerate(zip(cur.vars[base:], src_rows[base:]), 1):
-            queue = slots.get(key)
-            if not queue:
-                raise RuntimeError("inconsistent alignment despite matching entries")
-            pos[queue.popleft()] = c
-        # least t whose successor block sits before the front block of dst
-        t = 1
-        while pos[t + 1] >= pos[1]:
-            t += 1
-        k1, k2, k3 = pos[t + 1], pos[1], pos[t]
-        if not (k1 < k2 <= k3):
+        # least target position after base whose source sits before the
+        # source of the front target letter
+        front = at[base]
+        d = base + 1
+        while d < r and at[d] >= front:
+            d += 1
+        if d == r or not (at[d] < front <= at[d - 1]):
             raise RuntimeError("misordered rearrangement windows")
+        k1, k2, k3 = at[d] - base + 1, front - base + 1, at[d - 1] - base + 1
         for step in _rearrangement_steps(grading, base, k1, k2, k3, cur):
             cur = apply_rule(cur, step.rule, step.window, grading)
             steps.append(step)
         if cur.vars[base] != n.vars[base]:
             raise RuntimeError("rearrangement did not surface the target variable")
-        # the suffix blocks A B C became C B A, each letter read at its old row
+        # the suffix blocks A B C became C B A, each letter keeping its key;
+        # per key the moved letters take back, in their new order, the
+        # target positions they held, which ascend with the old order
         a, b, c = base + k1 - 1, base + k2 - 1, base + k3
-        src_rows[base:c] = src_rows[b:c] + src_rows[a:b] + src_rows[base:a]
+        old = keys[base:c]
+        held = [to[base + i] for i in sorted(range(k3), key=old.__getitem__)]
+        keys[base:c] = new = keys[b:c] + keys[a:b] + keys[base:a]
+        for i, d in zip(sorted(range(k3), key=new.__getitem__), held):
+            at[d] = base + i
+            to[base + i] = d
     if cur != n:
         raise RuntimeError("congruence construction ended on the wrong monomial")
     return CongruenceProof(m, n, tuple(steps))

@@ -1,12 +1,15 @@
-"""Differential check of find_congruence against the search it replaced.
+"""Differential check of find_congruence against the searches it replaced.
 
 ``reference_find_congruence`` and ``_reference_matched_walks`` are the
-earlier construction, kept verbatim apart from their names: before every
+earliest construction, kept verbatim apart from their names: before every
 strip or rearrangement it walked all start rows of both suffixes through
-``row_walk`` and aligned the suffixes through the least matching row.  The
-current construction searches once and carries the source rows along with
-the letters, so it aligns through whatever row the kept paths start at; it
-must produce the same proof, step for step.
+``row_walk`` and aligned the suffixes through the least matching row.
+``suffix_find_congruence`` is the next one, also verbatim apart from its
+name: it searched once and carried the source rows along with the letters,
+but aligned the whole unmatched suffix again before every rearrangement.
+The current construction pairs the whole words once and re-pairs only the
+letters a rearrangement moves; it must produce the same proof, step for
+step, as both.
 """
 
 import random
@@ -15,10 +18,13 @@ from collections import Counter, deque
 from typing import Dict, List, Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedpi import rewrite
 from gradedpi.freealg import Monomial, Var
-from gradedpi.grading import ElementaryGrading, parse_grading_spec
+from gradedpi.genericmodel import entry_match
+from gradedpi.grading import ElementaryGrading, _walk_from, parse_grading_spec
 from gradedpi.rewrite import (
     CongruenceProof,
     RuleError,
@@ -106,6 +112,59 @@ def reference_find_congruence(m: Monomial, n: Monomial, grading: ElementaryGradi
     return CongruenceProof(m, n, tuple(steps))
 
 
+def suffix_find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Optional[CongruenceProof]:
+    if Counter(m.vars) != Counter(n.vars):
+        raise RuleError("congruence needs monomials with the same variable multiset")
+    if m == n:
+        return CongruenceProof(m, n, ())
+    hit = entry_match(m, n, grading)
+    if hit is None:
+        return None
+    r = len(m)
+    targets = {g: grading._target(g) for g in {v.grade for v in m.vars}}
+    src_rows = _walk_from(targets, [v.grade for v in m.vars], hit[0])
+    dst_rows = _walk_from(targets, [v.grade for v in n.vars], hit[0])
+    steps: List[Step] = []
+    cur = m
+    base = 0
+    guard = 0
+    while base < r:
+        guard += 1
+        if guard > 6 * r + 6:
+            raise RuntimeError("congruence construction failed to converge")
+        if cur.vars[base] == n.vars[base]:
+            base += 1
+            continue
+        # align src positions with dst positions by (variable, row)
+        slots: Dict[tuple, deque] = {}
+        for c, key in enumerate(zip(n.vars[base:], dst_rows[base:]), 1):
+            slots.setdefault(key, deque()).append(c)
+        pos: Dict[int, int] = {}
+        for c, key in enumerate(zip(cur.vars[base:], src_rows[base:]), 1):
+            queue = slots.get(key)
+            if not queue:
+                raise RuntimeError("inconsistent alignment despite matching entries")
+            pos[queue.popleft()] = c
+        # least t whose successor block sits before the front block of dst
+        t = 1
+        while pos[t + 1] >= pos[1]:
+            t += 1
+        k1, k2, k3 = pos[t + 1], pos[1], pos[t]
+        if not (k1 < k2 <= k3):
+            raise RuntimeError("misordered rearrangement windows")
+        for step in _rearrangement_steps(grading, base, k1, k2, k3, cur):
+            cur = apply_rule(cur, step.rule, step.window, grading)
+            steps.append(step)
+        if cur.vars[base] != n.vars[base]:
+            raise RuntimeError("rearrangement did not surface the target variable")
+        # the suffix blocks A B C became C B A, each letter read at its old row
+        a, b, c = base + k1 - 1, base + k2 - 1, base + k3
+        src_rows[base:c] = src_rows[b:c] + src_rows[a:b] + src_rows[base:a]
+    if cur != n:
+        raise RuntimeError("congruence construction ended on the wrong monomial")
+    return CongruenceProof(m, n, tuple(steps))
+
+
 # -- seeded pairs ------------------------------------------------------------------
 #
 # A word is built along a random row walk, so it survives; valid rewrites
@@ -117,7 +176,7 @@ def reference_find_congruence(m: Monomial, n: Monomial, grading: ElementaryGradi
 def _rows(grading, word, start):
     rows = [start]
     for v in word:
-        rows.append(grading.degree_rows(v.grade).target[rows[-1]])
+        rows.append(grading._target(v.grade)[rows[-1]])
     return rows
 
 
@@ -211,6 +270,50 @@ def test_same_proof_as_reference(gradings, name):
             assert proof is not None
             assert proof.steps == reference_find_congruence(src, dst, grading).steps
             assert replay(proof, grading) == dst
+
+
+#: kinds whose support misses a degree, so that a sorted walk word can die;
+#: on zn:3 and zn:5 every word survives
+KILLABLE = ("z:3", "mu:3", "s3", "klein")
+
+
+def _outcome(search, m, n, grading):
+    """The proof, None, or the type and text of the error raised."""
+    try:
+        return search(m, n, grading)
+    except (RuleError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_kept_alignment_matches_both_references(gradings, data):
+    name = data.draw(st.sampled_from(KINDS))
+    grading = gradings[name]
+    shape = data.draw(st.sampled_from(("congruent",) * 3 + ("equal", "shuffled", "killed", "other letter")))
+    length = data.draw(st.sampled_from((4, 8, 24, 48, 96, 192, 384, 768)))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    if shape == "congruent":
+        m, n = congruent_pair(grading, length, rng)
+    elif shape == "killed" and name in KILLABLE:
+        m, n = killed_pair(grading, length, rng)
+    else:
+        word, _ = _walk_word(grading, length, rng)
+        other = list(word)
+        if shape == "other letter":
+            # a variable no walk word has: the multisets differ
+            other[rng.randrange(length)] = Var(word[0].grade, 5)
+        elif shape != "equal":
+            rng.shuffle(other)
+        m, n = Monomial(word), Monomial(other)
+    for src, dst in ((m, n), (n, m)):
+        outcome = _outcome(find_congruence, src, dst, grading)
+        assert outcome == _outcome(suffix_find_congruence, src, dst, grading)
+        assert outcome == _outcome(reference_find_congruence, src, dst, grading)
+        if isinstance(outcome, CongruenceProof):
+            assert replay(outcome, grading) == dst
+        elif outcome is not None:
+            assert outcome[0] is RuleError  # no guard fires on these words
 
 
 def test_short_pairs_redraw_a_word_without_moves(gradings, monkeypatch):

@@ -1,6 +1,8 @@
 """Grading structures, row maps, and complete sequences."""
 
+import functools
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -69,8 +71,26 @@ class TestStructures:
             st.identity
         with pytest.raises(GradingError):
             st.inverse((1, 2))
-        with pytest.raises(GradingError):
-            st.product([])
+        for empty in ((), [], iter(())):
+            with pytest.raises(GradingError, match=r"^empty product is undefined without an identity$"):
+                st.product(empty)
+
+    @pytest.mark.parametrize("spec", [f"zn:{n}" for n in range(1, 10)] + ["zn:128", "zp:7", "z:3"])
+    def test_product_matches_the_generic_reduction(self, spec):
+        # the cyclic and integer kinds add their grades in one sum
+        st = parse_grading_spec(spec).structure
+        rng = random.Random(spec)
+        if isinstance(st, IntegerGroup):
+            draw = lambda: rng.choice((rng.randint(-9, 9), rng.randint(-(10**30), 10**30)))
+        else:
+            draw = lambda: rng.randrange(st.order)
+        words = [(), (draw(),), *(tuple(draw() for _ in range(rng.randint(2, 40))) for _ in range(50))]
+        words.append(tuple(draw() for _ in range(4096)))
+        for hs in words:
+            expected = functools.reduce(st.mul, hs, st.identity)
+            assert st.product(hs) == expected
+            assert st.product(list(hs)) == expected
+            assert st.product(h for h in hs) == expected
 
     def test_matrix_units_associative(self):
         st = MatrixUnitSemigroup(2)
