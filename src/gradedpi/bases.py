@@ -33,7 +33,7 @@ from .grading import (
     is_complete_sequence,
 )
 from .freealg import Monomial, Polynomial, Var, classify, format_polynomial, twin_block_threshold
-from .genericmodel import _require_zero_constant, evaluate
+from .genericmodel import _decisive_rows, _require_zero_constant, _row_one_nonscalar_position
 
 #: largest number of row steps that one monomial-identity scan may take
 #: (``enumerate_monomial_identities`` up to its degree bound, family (4) up
@@ -366,13 +366,13 @@ def verify_instance(inst: GeneratorInstance, grading: ElementaryGrading) -> bool
     """Check an instance against its family's defining property: a nonzero
     scalar for ``PROPER_CENTRAL_FAMILIES``, zero for every other family.
 
-    Both verdicts are read from one generic evaluation.
+    Both verdicts read one coded walk, the CLI verdicts' ``_decisive_rows``.
     """
-    value = evaluate(inst.poly, grading)
+    value = _decisive_rows(inst.poly, grading)
     if inst.family not in PROPER_CENTRAL_FAMILIES:
         return value.is_zero
     _require_zero_constant(inst.poly)
-    return value.is_scalar and not value.is_zero
+    return not value.is_zero and _row_one_nonscalar_position(value, grading) is None
 
 
 def basis_report(

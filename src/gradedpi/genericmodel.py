@@ -252,9 +252,9 @@ def _relabelled(entry: SparsePoly, pi: Dict[int, int], stride: int) -> SparsePol
 
 
 def _row_one_nonscalar_position(value: PolyMatrix, grading: ElementaryGrading) -> Optional[Position]:
-    """``_nonscalar_position`` of the whole coded evaluation from its row 1
-    alone: an off-diagonal cell anywhere puts one in row 1, and entry (k, k)
-    is the (1, 1) entry with each row r relabelled pi_k(r).
+    """``_nonscalar_position`` of the whole coded evaluation, on a transitive
+    grading from its row 1 alone: an off-diagonal cell anywhere puts one in
+    row 1, and entry (k, k) is the (1, 1) entry relabelled by pi_k.
 
     The pi_k form a group acting regularly on the rows (pi_k carries row 1
     to row k), and the relabellings that keep the (1, 1) entry form a
@@ -263,12 +263,12 @@ def _row_one_nonscalar_position(value: PolyMatrix, grading: ElementaryGrading) -
     when a generator moves it are the pi_k tried in order, and the first
     differing entry is stored into ``value``.
     """
+    if not grading._transitive:
+        return value._nonscalar_position()
     off = [pos for pos in value.cells if pos[0] != pos[1]]
-    if off:
-        return min(off)
     first = value.cells.get((1, 1))
-    if first is None:  # every diagonal entry is a relabelled zero
-        return None
+    if off or first is None:  # a zero (1, 1) entry relabels to a zero diagonal
+        return min(off, default=None)
     n = grading.n
     translation = functools.partial(grading.structure.row_translation, grading.row_grades)
     generators = []
@@ -341,7 +341,7 @@ def centrality_witness(f: Polynomial, grading: ElementaryGrading) -> dict:
     """
     _require_zero_constant(f)
     value = _decisive_rows(f, grading)
-    pos = _row_one_nonscalar_position(value, grading) if grading._transitive else value._nonscalar_position()
+    pos = _row_one_nonscalar_position(value, grading)
     if pos is None:
         return {"kind": "verified"}
     i, j = pos

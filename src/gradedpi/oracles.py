@@ -2,8 +2,8 @@
 
 The verification suites and the tests import this module; the decision path
 (``genericmodel`` and everything the CLI reaches outside ``verify``) does
-not.  It holds a second arithmetic, independent of the closed-form row
-walks:
+not.  It holds a second arithmetic that reads the unit degrees, not the
+row maps of the closed-form row walks:
 
 * ``naive_monomial_product``: iterated multiplication of generic matrices,
   against ``genericmodel.monomial_product``;
@@ -50,31 +50,35 @@ def matrix_product(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(a.n, {pos: SparsePoly(cell) for pos, cell in out.items()})
 
 
-def make_generic(grading: ElementaryGrading, h: Grade, i: int) -> PolyMatrix:
-    """The canonical degree-h generic matrix with generic index i.
+def _units(grading: ElementaryGrading, grades: Sequence[Grade]) -> List[List[Position]]:
+    """The unit positions of each grade, row-major, from one scan of the n^2
+    unit degrees; a grade outside the structure is refused."""
+    by_degree: Dict[Grade, List[Position]] = {}
+    for i, j in itertools.product(range(1, grading.n + 1), repeat=2):
+        by_degree.setdefault(grading.unit_degree(i, j), []).append((i, j))
+    return [by_degree.get(grading.structure.require(h), []) for h in grades]
 
-    One fresh commuting variable sits in each row k that admits a unit of
-    degree h, at column target_k; the matrix is zero when no row does.
-    """
-    return PolyMatrix(
-        grading.n,
-        {(k, j): SparsePoly.variable((h, i, k)) for k, j in grading._target(h).items()},
-    )
+
+def make_generic(grading: ElementaryGrading, h: Grade, i: int) -> PolyMatrix:
+    """The canonical degree-h generic matrix with generic index i: the
+    product of the one-letter word x[h,i]."""
+    return naive_monomial_product(grading, Monomial((Var(h, i),)))
 
 
 def naive_monomial_product(grading: ElementaryGrading, m: Monomial) -> PolyMatrix:
-    """Iterated matrix multiplication from the identity matrix; the
-    independent cross-check for the closed form."""
-    acc = PolyMatrix(grading.n, {(k, k): SparsePoly.one() for k in range(1, grading.n + 1)})
-    for h, i in m.vars:
-        acc = matrix_product(acc, make_generic(grading, h, i))
+    """Iterated matrix multiplication from the identity matrix, letter x[h,i]
+    being y[h,i,k] at each unit (k, j) of degree h (at most one per row);
+    the independent cross-check for the closed form."""
+    n = grading.n
+    acc = PolyMatrix(n, {(k, k): SparsePoly.one() for k in range(1, n + 1)})
+    for (h, i), units in zip(m.vars, _units(grading, [v.grade for v in m.vars])):
+        acc = matrix_product(acc, PolyMatrix(n, {(k, j): SparsePoly.variable((h, i, k)) for k, j in units}))
     return acc
 
 
 def units_of_degree(grading: ElementaryGrading, h: Grade) -> List[Tuple[int, int]]:
     """All matrix unit positions carrying the degree h."""
-    step = grading.degree_rows(h)
-    return [(k, step.target[k]) for k in step.rows]
+    return _units(grading, [h])[0]
 
 
 def _multilinear_variables(f: Polynomial) -> List[Var]:
@@ -107,7 +111,7 @@ def matrix_unit_oracle(f: Polynomial, grading: ElementaryGrading) -> bool:
     if f.is_zero:
         return True
     vars_ = _multilinear_variables(f)
-    choices = [units_of_degree(grading, v.grade) for v in vars_]
+    choices = _units(grading, [v.grade for v in vars_])
     for combo in itertools.product(*choices):
         env = dict(zip(vars_, combo))
         total: Dict[Tuple[int, int], int] = {}
@@ -139,7 +143,7 @@ def unit_chain_exists(grading: ElementaryGrading, seq: Sequence[int]) -> bool:
     """Brute force: some tuple of units with these degrees chains up, covers
     every row, and closes."""
     n = grading.n
-    unit_sets = [units_of_degree(grading, g % n) for g in seq]
+    unit_sets = _units(grading, [g % n for g in seq])
     for combo in itertools.product(*unit_sets):
         if any(combo[l][1] != combo[l + 1][0] for l in range(n - 1)):
             continue

@@ -284,11 +284,7 @@ def battery_fast_product(seed: int = 0) -> List[ItemResult]:
     ok = True
     for _ in range(300):
         grading = rng.choice(gradings)
-        d = rng.randint(0, 8)
-        vars = []
-        for _ in range(d):
-            vars.append(Var(_random_grade(grading, rng), rng.randint(1, 3)))
-        mono = Monomial(vars)
+        mono = Monomial(Var(_random_grade(grading, rng), rng.randint(1, 3)) for _ in range(rng.randint(0, 8)))
         if monomial_product(grading, mono) != naive_monomial_product(grading, mono):
             ok = False
             break

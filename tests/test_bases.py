@@ -302,15 +302,16 @@ class TestBasisReport:
     def test_each_instance_is_evaluated_once(self, monkeypatch, s3_grading):
         from gradedpi import bases, genericmodel
 
+        # one walk per instance: the coded rows the CLI verdicts read
         calls = []
-        real = genericmodel.evaluate
+        real = genericmodel._decisive_rows
 
         def counting(f, grading):
             calls.append(f)
             return real(f, grading)
 
-        monkeypatch.setattr(genericmodel, "evaluate", counting)
-        monkeypatch.setattr(bases, "evaluate", counting, raising=False)
+        monkeypatch.setattr(genericmodel, "_decisive_rows", counting)
+        monkeypatch.setattr(bases, "_decisive_rows", counting)
         cases = [
             (ZP3, "central"),
             (parse_grading_spec("zp:5"), "central"),

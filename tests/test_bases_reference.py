@@ -24,8 +24,11 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedpi.bases import (
+    PROPER_CENTRAL_FAMILIES,
     BasesError,
     BasisInstances,
     GeneratorInstance,
@@ -40,7 +43,7 @@ from gradedpi.bases import (
     canonical_monomial,
     verify_instance,
 )
-from gradedpi.freealg import Polynomial, Var, format_polynomial, twin_block_threshold
+from gradedpi.freealg import Monomial, Polynomial, Var, format_polynomial, twin_block_threshold
 from gradedpi.genericmodel import _require_zero_constant, evaluate
 from gradedpi.grading import (
     ElementaryGrading,
@@ -415,6 +418,106 @@ def test_table_group_families_match_reference(cutoff, s3_grading, klein_file):
         expected = _assert_same_basis(grading, "identities", cutoff)
         families = {inst.family for inst in expected.instances}
         assert expected.truncated and families & {"(3)", "(4)"}
+
+
+# Every family instance verifies True, so false verdicts come from
+# mislabelled instances.  zp:3 and zp:5 are transitive and read row 1 alone;
+# z:3, z:4, mu:3 and S3 on (0, 1, 3) are not.
+MISLABEL_SPECS = ("zp:3", "zp:5", "z:3", "z:4", "mu:3")
+MISLABEL_CASES = (
+    "identity-as-central",
+    "word-as-central",
+    "word-as-identity",
+    "central-as-identity",
+    "row-one-misses",
+    "constant-as-central",
+)
+
+
+def _mislabel_gradings(s3_grading):
+    gradings = {spec: parse_grading_spec(spec) for spec in MISLABEL_SPECS}
+    gradings["S3"] = s3_grading
+    return gradings
+
+
+def _closed_walk_symmetrization(grading: ElementaryGrading, rows: Sequence[int]) -> Polynomial:
+    """The sum of the rotations of one word through distinct letters that
+    walks ``rows`` and back to its first row."""
+    rows = [*rows, rows[0]]
+    letters = [Var(grading.unit_degree(a, b), c) for c, (a, b) in enumerate(zip(rows, rows[1:]), 1)]
+    return Polynomial({Monomial(letters[s:] + letters[:s]): 1 for s in range(len(letters))})
+
+
+def _random_poly(data, grading: ElementaryGrading) -> Polynomial:
+    grades = sorted(grading.support())
+    terms: dict = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        word = data.draw(st.lists(st.tuples(st.sampled_from(grades), st.integers(1, 3)), min_size=1, max_size=4))
+        mono = Monomial(Var(h, i) for h, i in word)
+        terms[mono] = terms.get(mono, 0) + data.draw(st.sampled_from([1, -1, 2]))
+    return Polynomial(terms)
+
+
+def _proper_central(grading: ElementaryGrading, data) -> Polynomial:
+    """A proper central instance of the grading's own family, or on mu:3
+    and S3 (which have none) a closed-walk symmetrization through every
+    row."""
+    if grading.structure.is_cyclic or grading.structure.kind == INTEGERS:
+        instances = build_basis(grading, "central").instances
+        return data.draw(st.sampled_from([i.poly for i in instances if i.family in PROPER_CENTRAL_FAMILIES]))
+    return _closed_walk_symmetrization(grading, data.draw(st.permutations(range(1, grading.n + 1))))
+
+
+def _verdict(family: str, poly: Polynomial, grading: ElementaryGrading) -> bool:
+    inst = GeneratorInstance(family, poly, {})
+    verdict = verify_instance(inst, grading)
+    assert verdict == reference_verify_instance(inst, grading), (family, format_polynomial(poly, grading))
+    return verdict
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_verify_instance_matches_reference_on_mislabelled_instances(s3_grading, data):
+    gradings = _mislabel_gradings(s3_grading)
+    grading = gradings[data.draw(st.sampled_from(sorted(gradings)))]
+    case = data.draw(st.sampled_from(MISLABEL_CASES))
+    proper = data.draw(st.sampled_from(sorted(PROPER_CENTRAL_FAMILIES)))
+    plain = data.draw(st.sampled_from(["(1)", "(3)", "(4)", "(8)", "(12)", "(14)"]))
+    if case == "identity-as-central":
+        # zero is scalar, but a proper central instance must not vanish
+        poly = data.draw(st.sampled_from(build_basis(grading, "identities").instances)).poly
+        assert not _verdict(proper, poly, grading)
+    elif case == "word-as-central":
+        _verdict(proper, _random_poly(data, grading), grading)
+    elif case == "word-as-identity":
+        _verdict(plain, _random_poly(data, grading), grading)
+    elif case == "central-as-identity":
+        poly = _proper_central(grading, data)
+        assert _verdict(proper, poly, grading)
+        assert not _verdict(plain, poly, grading)
+    elif case == "row-one-misses":
+        # a letter whose grade row 1 does not admit survives from another
+        # row (z:3, z:4, mu:3 and S3 have such grades; zp: has none)
+        row_one = {grading.unit_degree(1, j) for j in range(1, grading.n + 1)}
+        missed = sorted(grading.support() - row_one)
+        if missed:
+            poly = Polynomial.from_var(Var(data.draw(st.sampled_from(missed)), 1))
+            assert not _verdict(plain, poly, grading)
+            assert not _verdict(proper, poly, grading)
+    else:
+        constant = Polynomial({Monomial(): data.draw(st.sampled_from([1, -2]))})
+        inst = GeneratorInstance(proper, _random_poly(data, grading) + constant, {})
+        with pytest.raises(GradingError) as mine:
+            verify_instance(inst, grading)
+        with pytest.raises(GradingError) as theirs:
+            reference_verify_instance(inst, grading)
+        assert str(mine.value) == str(theirs.value)
+
+
+def test_verify_instance_refuses_a_word_row_one_misses():
+    # z:3 is not transitive: x[-1,1] survives from rows 2 and 3, not row 1
+    poly = Polynomial.from_var(Var(-1, 1))
+    assert not _verdict("(3)", poly, parse_grading_spec("z:3"))
 
 
 # (item, passed, detail) of the four family batteries at seed 0, recorded from

@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 
 import gradedpi
-from gradedpi.grading import GradingError, parse_grading_spec
+from gradedpi.grading import CyclicGroup, GradingError, parse_grading_spec
 from gradedpi.freealg import (
     Monomial,
     Polynomial,
@@ -37,6 +37,7 @@ from gradedpi.oracles import (
     poly_product,
     units_of_degree,
 )
+from gradedpi.suites import battery_fast_product
 
 ZN2 = parse_grading_spec("zn:2")
 ZN3 = parse_grading_spec("zn:3")
@@ -231,6 +232,36 @@ class TestMatrixUnitOracle:
         assert units_of_degree(Z2, 1) == [(1, 2)]
         assert units_of_degree(Z2, 5) == []
         assert units_of_degree(MU2, (2, 1)) == [(2, 1)]
+
+    def test_units_of_degree_refuses_a_grade_outside_the_structure(self):
+        with pytest.raises(GradingError):
+            units_of_degree(MU2, 1)
+        with pytest.raises(GradingError):
+            make_generic(ZN3, 3, 1)
+
+    def test_oracles_do_not_read_the_row_maps(self, monkeypatch):
+        # a wrong closed-form row map on zn:3 (grade 1 sends row 1 to 3 and
+        # row 2 to 2) must make the naive product disagree with the closed
+        # form, so the oracle cannot share the maps it checks
+        real = CyclicGroup.row_maps
+
+        def swapped(self, row_grades):
+            row_map = real(self, row_grades)
+            if self.order != 3:
+                return row_map
+
+            def mutant(h):
+                target = row_map(h)
+                if h == 1:
+                    target[1], target[2] = target[2], target[1]
+                return target
+
+            return mutant
+
+        monkeypatch.setattr(CyclicGroup, "row_maps", swapped)
+        assert parse_grading_spec("zn:3")._target(1) == {1: 3, 2: 2, 3: 1}
+        [item] = battery_fast_product(0)
+        assert item.item == "closed-form-vs-naive" and not item.passed
 
 
 def unit_central_oracle(f, grading):
