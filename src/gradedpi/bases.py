@@ -32,15 +32,16 @@ from .grading import (
     enumerate_complete_sequences,
     is_complete_sequence,
 )
-from .freealg import Monomial, Polynomial, Var, classify, format_polynomial, twin_block_threshold
+from .freealg import Monomial, Polynomial, Var, format_polynomial, twin_block_threshold
 from .genericmodel import _decisive_rows, _require_zero_constant, _row_one_nonscalar_position
 
 #: largest number of row steps that one monomial-identity scan may take
 #: (``enumerate_monomial_identities`` up to its degree bound, family (4) up
-#: to its cutoff).  The scan walks every degree tuple of length d <= D over
-#: the support from each of the n rows, so it takes at most
-#: n * sum(d * |support|^d) steps.  That count is checked before the scan
-#: starts, so a larger scan is refused, not run.
+#: to its cutoff).  n * sum(d * |support|^d) over d <= D bounds the steps of
+#: either scan: ``enumerate_monomial_identities`` walks every degree tuple of
+#: length d over the support from each of the n rows, and family (4) only
+#: the support-closed tuples whose prefix survives.  The bound is checked
+#: before the scan starts, so a larger scan is refused, not run.
 MAX_SCAN_STEPS = 500_000
 
 #: the families whose instances are central but not identities.  Every other
@@ -85,6 +86,22 @@ def canonical_monomial(hs: Sequence[Grade]) -> Monomial:
     return Monomial(vars)
 
 
+def _check_scan(grading: ElementaryGrading, max_degree: int) -> None:
+    """Refuse a negative degree bound, and a monomial-identity scan up to it
+    of more than ``MAX_SCAN_STEPS`` row steps."""
+    if max_degree < 0:
+        raise BasesError(f"degree bound must be non-negative, got {max_degree}")
+    n, size = grading.n, len(grading.support())
+    steps = 0
+    for d in range(1, max_degree + 1):
+        steps += n * d * size**d
+        if steps > MAX_SCAN_STEPS:
+            raise BasesError(
+                f"scanning degree tuples up to degree {max_degree} over {size} "
+                f"support grades on {n} rows exceeds the limit of {MAX_SCAN_STEPS} row steps"
+            )
+
+
 def enumerate_monomial_identities(grading: ElementaryGrading, max_degree: int) -> Iterator[Monomial]:
     """All multilinear monomial identities up to a degree bound.
 
@@ -94,17 +111,8 @@ def enumerate_monomial_identities(grading: ElementaryGrading, max_degree: int) -
     reason and is not enumerated.  Refuses a negative bound, and a scan of
     more than ``MAX_SCAN_STEPS`` row steps, before any tuple is walked.
     """
-    if max_degree < 0:
-        raise BasesError(f"degree bound must be non-negative, got {max_degree}")
-    n, supp = grading.n, sorted(grading.support())
-    steps = 0
-    for d in range(1, max_degree + 1):
-        steps += n * d * len(supp) ** d
-        if steps > MAX_SCAN_STEPS:
-            raise BasesError(
-                f"scanning degree tuples up to degree {max_degree} over {len(supp)} "
-                f"support grades on {n} rows exceeds the limit of {MAX_SCAN_STEPS} row steps"
-            )
+    _check_scan(grading, max_degree)
+    supp = sorted(grading.support())
     return (
         canonical_monomial(hs)
         for d in range(1, max_degree + 1)
@@ -178,16 +186,52 @@ def _integer_kill_grades(n: int) -> List[int]:
 def _support_closed_monomial_identities(
     grading: ElementaryGrading, cutoff: int
 ) -> Tuple[List[GeneratorInstance], bool]:
-    threshold = twin_block_threshold(len(grading.support()))
+    """Family (4): one canonical monomial per dead support-closed degree
+    tuple over the support, of degree 1 to the cutoff (at most the twin-block
+    threshold), by degree and then in ``itertools.product`` order.
+
+    Closure and death pass to every extension, so the tuples of degree d + 1
+    are built from the closed ones of degree d, in order, and only a closed
+    tuple whose prefix survives is walked.  The support holds the identity
+    and is closed under inverses, so a new prefix value p keeps a tuple
+    closed iff q^-1 p lies in the support for every earlier prefix value q.
+    """
+    supp = grading.support()
+    threshold = twin_block_threshold(len(supp))
     effective = min(cutoff, threshold)
-    format_grade = grading.structure.format_grade
-    out = [
-        GeneratorInstance(
-            "(4)", Polynomial.from_monomial(mono), {"h": [format_grade(h) for h in mono.h]}
-        )
-        for mono in enumerate_monomial_identities(grading, effective)
-        if classify(mono, grading).support_closed
-    ]
+    _check_scan(grading, effective)
+    st = grading.structure
+    mul, inverse, row_walk = st.mul, st.inverse, grading.row_walk
+    grades = sorted(supp)
+    names = {h: st.format_grade(h) for h in grades}
+    out = []
+    # per closed tuple: its prefix value, the inverses of its distinct prefix
+    # values, and whether some row walk survives it
+    level = [((), st.identity, (st.identity,), True)]
+    for d in range(1, effective + 1):
+        extended = []
+        for hs, cur, inverses, alive in level:
+            for h in grades:
+                p = mul(cur, h)
+                p_inv = inverse(p)
+                known = inverses
+                if p_inv not in known:
+                    if not all(mul(q_inv, p) in supp for q_inv in known):
+                        continue
+                    known += (p_inv,)
+                ext = hs + (h,)
+                survives = alive and bool(row_walk(ext).rows)
+                if not survives:
+                    out.append(
+                        GeneratorInstance(
+                            "(4)",
+                            Polynomial.from_monomial(canonical_monomial(ext)),
+                            {"h": [names[g] for g in ext]},
+                        )
+                    )
+                if d < effective:
+                    extended.append((ext, p, known, survives))
+        level = extended
     return out, effective < threshold
 
 
@@ -280,13 +324,16 @@ def build_basis(
 
     ``kind`` is "identities" or "central".  ``cutoff`` caps the enumeration
     degree of family (4); the result is flagged truncated when the cap is
-    below the full enumeration threshold.  A negative cutoff, or one whose
-    scan would take more than ``MAX_SCAN_STEPS`` row steps, is refused.
-    Families with infinitely many instances over the integer grading ((2),
-    (3), (14)) are emitted for a finite representative set of grades.  The
-    central families first list their complete sequences, the (n-1)! of
-    family (11) or the n! lifts of family (15), so a grading with more than
-    ``MAX_COMPLETE_SEQUENCES`` of them is refused before any family is built.
+    below the full enumeration threshold.  Family (4) is enumerated degree by
+    degree, extending each support-closed tuple by every support grade and
+    walking only the closed extensions whose prefix still survives.  A
+    negative cutoff, or one whose scan bound is more than ``MAX_SCAN_STEPS``
+    row steps, is refused.  Families with infinitely many instances over the
+    integer grading ((2), (3), (14)) are emitted for a finite representative
+    set of grades.  The central families first list their complete
+    sequences, the (n-1)! of family (11) or the n! lifts of family (15), so a
+    grading with more than ``MAX_COMPLETE_SEQUENCES`` of them is refused
+    before any family is built.
     """
     if cutoff is not None and cutoff < 0:
         raise BasesError(f"cutoff must be non-negative, got {cutoff}")

@@ -100,6 +100,50 @@ class TestBuildBasis:
         assert basis.truncated  # cutoff 3 is far below the enumeration threshold
         assert all(verify_instance(inst, grading) for inst in basis.instances)
 
+    def test_family_4_walks_closed_tuples_whose_prefix_survives(self, monkeypatch):
+        from conftest import permutation_group_table
+        from gradedpi import bases, freealg
+        from gradedpi.grading import ElementaryGrading, TableGroup
+
+        # S4 on four rows, support 9, cutoff 4: 7380 tuples in all
+        structure = TableGroup(*permutation_group_table(4))
+        grading = ElementaryGrading(structure, (0, 1, 3, 7))
+        supp = grading.support()
+
+        def closed(hs):
+            for i in range(len(hs)):
+                g = structure.identity
+                for h in hs[i:]:
+                    g = structure.mul(g, h)
+                    if g not in supp:
+                        return False
+            return True
+
+        expected = sum(
+            1
+            for d in range(1, 5)
+            for hs in itertools.product(sorted(supp), repeat=d)
+            if closed(hs) and grading.row_walk(hs[:-1]).rows
+        )
+        walked = []
+        real = ElementaryGrading.row_walk
+
+        def counting(self, hs):
+            walked.append(tuple(hs))
+            return real(self, hs)
+
+        def forbidden(*args):
+            raise AssertionError("family (4) must not classify")
+
+        assert not hasattr(bases, "classify")
+        monkeypatch.setattr(ElementaryGrading, "row_walk", counting)
+        monkeypatch.setattr(freealg, "classify", forbidden)
+        monkeypatch.setattr(bases, "classify", forbidden, raising=False)
+        basis = build_basis(grading, "identities", cutoff=4)
+        assert len(walked) == expected == 1330
+        assert len(set(walked)) == len(walked)
+        assert sum(inst.family == "(4)" for inst in basis.instances) > 0
+
     def test_residue_central_families(self):
         basis = build_basis(ZP3, "central")
         assert {inst.family for inst in basis.instances} == {"(8)", "(9)", "(10)", "(11)"}

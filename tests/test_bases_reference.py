@@ -17,17 +17,26 @@ library must emit the same instances, with the same parameters, truncation
 flags and verdicts, and the same sequences in the same order.  Family (4)
 filters with ``reference_classify``, the earlier classification, so it does
 not lean on the library's ``classify``.
+
+``product_scan_monomial_identities`` and
+``product_scan_support_closed_monomial_identities`` are the product scan
+that family (4) used before it extended closed prefixes, kept verbatim apart
+from their names: every degree tuple walked from every row, and the dead
+ones filtered by the library's ``classify``.  The library must emit the same
+family (4) instances, truncation flag and refusal text on random row tuples
+of S3, S4 and the Klein group.
 """
 
 import itertools
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedpi.bases import (
+    MAX_SCAN_STEPS,
     PROPER_CENTRAL_FAMILIES,
     BasesError,
     BasisInstances,
@@ -38,12 +47,14 @@ from gradedpi.bases import (
     _neutral_commutator,
     _reversal,
     _reversal_instances,
+    _support_closed_monomial_identities,
     _symmetrization_family,
     build_basis,
     canonical_monomial,
+    enumerate_monomial_identities,
     verify_instance,
 )
-from gradedpi.freealg import Monomial, Polynomial, Var, format_polynomial, twin_block_threshold
+from gradedpi.freealg import Monomial, Polynomial, Var, classify, format_polynomial, twin_block_threshold
 from gradedpi.genericmodel import _require_zero_constant, evaluate
 from gradedpi.grading import (
     ElementaryGrading,
@@ -54,6 +65,7 @@ from gradedpi.grading import (
     MATRIX_UNITS,
     MAX_COMPLETE_SEQUENCES,
     MU_ZERO,
+    TableGroup,
     _is_prime,
     enumerate_complete_sequences,
     is_complete_sequence,
@@ -66,6 +78,7 @@ from gradedpi.suites import (
     battery_positional_basis,
 )
 
+from conftest import permutation_group_table
 from test_grading_reference import reference_classify
 
 EXPECT_IDENTITY = "identity"
@@ -118,6 +131,50 @@ def reference_support_closed_monomial_identities(
                     {"h": [grading.structure.format_grade(h) for h in hs]},
                 )
             )
+    return out, effective < threshold
+
+
+def product_scan_monomial_identities(grading: ElementaryGrading, max_degree: int) -> Iterator[Monomial]:
+    """All multilinear monomial identities up to a degree bound.
+
+    One canonical representative is produced per degree tuple over the
+    support, of degree 1 to ``max_degree``, that no row walk survives; a
+    tuple with a grade outside the support is an identity for the trivial
+    reason and is not enumerated.  Refuses a negative bound, and a scan of
+    more than ``MAX_SCAN_STEPS`` row steps, before any tuple is walked.
+    """
+    if max_degree < 0:
+        raise BasesError(f"degree bound must be non-negative, got {max_degree}")
+    n, supp = grading.n, sorted(grading.support())
+    steps = 0
+    for d in range(1, max_degree + 1):
+        steps += n * d * len(supp) ** d
+        if steps > MAX_SCAN_STEPS:
+            raise BasesError(
+                f"scanning degree tuples up to degree {max_degree} over {len(supp)} "
+                f"support grades on {n} rows exceeds the limit of {MAX_SCAN_STEPS} row steps"
+            )
+    return (
+        canonical_monomial(hs)
+        for d in range(1, max_degree + 1)
+        for hs in itertools.product(supp, repeat=d)
+        if not grading.row_walk(hs).rows
+    )
+
+
+def product_scan_support_closed_monomial_identities(
+    grading: ElementaryGrading, cutoff: int
+) -> Tuple[List[GeneratorInstance], bool]:
+    threshold = twin_block_threshold(len(grading.support()))
+    effective = min(cutoff, threshold)
+    format_grade = grading.structure.format_grade
+    out = [
+        GeneratorInstance(
+            "(4)", Polynomial.from_monomial(mono), {"h": [format_grade(h) for h in mono.h]}
+        )
+        for mono in product_scan_monomial_identities(grading, effective)
+        if classify(mono, grading).support_closed
+    ]
     return out, effective < threshold
 
 
@@ -418,6 +475,44 @@ def test_table_group_families_match_reference(cutoff, s3_grading, klein_file):
         expected = _assert_same_basis(grading, "identities", cutoff)
         families = {inst.family for inst in expected.instances}
         assert expected.truncated and families & {"(3)", "(4)"}
+
+
+FAMILY_4_GROUPS = {
+    "S3": TableGroup(*permutation_group_table(3)),
+    "S4": TableGroup(*permutation_group_table(4)),
+}
+
+
+def _refusal(scan, grading: ElementaryGrading, bound: int) -> Optional[str]:
+    try:
+        scan(grading, bound)
+    except BasesError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_family_4_matches_the_product_scan(klein_file, data):
+    group = data.draw(st.sampled_from(["S3", "S4", "Klein"]))
+    structure = FAMILY_4_GROUPS.get(group) or parse_grading_spec(f"group:{klein_file}:e").structure
+    rows = data.draw(st.lists(st.integers(0, structure.order - 1), min_size=2, max_size=4, unique=True))
+    grading = ElementaryGrading(structure, rows)
+    cutoff = data.draw(st.integers(0, 7))
+    for scan, reference in (
+        (_support_closed_monomial_identities, product_scan_support_closed_monomial_identities),
+        (enumerate_monomial_identities, product_scan_monomial_identities),
+    ):
+        assert _refusal(scan, grading, -cutoff - 1) == _refusal(reference, grading, -cutoff - 1) is not None
+        assert _refusal(scan, grading, cutoff) == _refusal(reference, grading, cutoff)
+    refusal = _refusal(product_scan_support_closed_monomial_identities, grading, cutoff)
+    if refusal is not None:
+        assert "exceeds the limit" in refusal
+        return
+    actual, truncated = _support_closed_monomial_identities(grading, cutoff)
+    expected, expected_truncated = product_scan_support_closed_monomial_identities(grading, cutoff)
+    assert truncated == expected_truncated
+    assert [(i.family, i.poly, i.params) for i in actual] == [(i.family, i.poly, i.params) for i in expected]
 
 
 # Every family instance verifies True, so false verdicts come from

@@ -25,6 +25,13 @@ zp:5 (a family (11) instance, alone and with one stray monomial) and the whole
 Klein group as row grades, where ``x[1,1]^2`` first differs from the (1,1)
 entry at (3,3).  On ``zn:n`` the first diagonal mismatch is always at (2,2):
 the relabelling of row k is the k-1 fold power of that of row 2.
+
+The reports in ``FAMILY_4_GOLDEN`` were recorded before family (4) was built
+by extending support-closed prefixes level by level: ``basis`` identities on
+S3 with row grades (0, 1, 3) and cutoff 5, and on S4 with row grades
+(0, 1, 3, 7) and cutoff 4, the first pins of a family (4) over a non-abelian
+group.  Their Cayley tables are written from ``permutation_group_table``, and
+their paths are replaced by ``<S3>`` and ``<S4>`` before hashing.
 """
 
 import hashlib
@@ -35,6 +42,7 @@ import pytest
 from gradedpi.cli import main
 from gradedpi.freealg import format_monomial
 from gradedpi.grading import parse_grading_spec
+from conftest import permutation_group_table
 from test_congruence_reference import congruent_pair
 
 GOLDEN = {
@@ -230,3 +238,39 @@ def test_transitive_output_digest(case, fmt, capsys, klein_file):
     out = _transitive_report(case, fmt, klein_file, capsys)
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()[:16]
     assert digest == TRANSITIVE_GOLDEN[case, fmt]
+
+
+#: symmetric group S_k on row grades given as indices of its sorted
+#: permutations, with the family (4) cutoff
+FAMILY_4_CASES = {"S3": (3, (0, 1, 3), 5), "S4": (4, (0, 1, 3, 7), 4)}
+
+FAMILY_4_GOLDEN = {
+    ("S3", "json"): "7f79fcf92d970409",
+    ("S3", "text"): "3d4080369528c50b",
+    ("S4", "json"): "9362643345b3f4ba",
+    ("S4", "text"): "f22087a40d3f044d",
+}
+
+
+@pytest.fixture(scope="module")
+def symmetric_specs(tmp_path_factory):
+    """Grading spec of each family (4) case, with the path to replace."""
+    specs = {}
+    for name, (k, rows, _) in FAMILY_4_CASES.items():
+        names, table = permutation_group_table(k)
+        path = tmp_path_factory.mktemp(name) / f"{name}.txt"
+        lines = [" ".join(names)] + [" ".join(names[x] for x in row) for row in table]
+        path.write_text("\n".join(lines) + "\n")
+        specs[name] = (f"group:{path}:{','.join(names[r] for r in rows)}", str(path))
+    return specs
+
+
+@pytest.mark.parametrize("case, fmt", sorted(FAMILY_4_GOLDEN), ids=lambda x: str(x))
+def test_family_4_output_digest(case, fmt, symmetric_specs, capsys):
+    spec, path = symmetric_specs[case]
+    cutoff = FAMILY_4_CASES[case][2]
+    argv = ["basis", "--grading", spec, "--kind", "identities", "--cutoff", str(cutoff), "--format", fmt]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.replace(path, f"<{case}>")
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()[:16]
+    assert digest == FAMILY_4_GOLDEN[case, fmt]
