@@ -117,7 +117,7 @@ def enumerate_monomial_identities(grading: ElementaryGrading, max_degree: int) -
         canonical_monomial(hs)
         for d in range(1, max_degree + 1)
         for hs in itertools.product(supp, repeat=d)
-        if not grading.row_walk(hs).rows
+        if not grading.row_walk(hs)
     )
 
 
@@ -220,7 +220,7 @@ def _support_closed_monomial_identities(
                         continue
                     known += (p_inv,)
                 ext = hs + (h,)
-                survives = alive and bool(row_walk(ext).rows)
+                survives = alive and bool(row_walk(ext))
                 if not survives:
                     out.append(
                         GeneratorInstance(

@@ -16,9 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Grade = Union[int, Tuple[int, int]]
 
@@ -389,37 +387,10 @@ class MatrixUnitSemigroup(GradingStructure):
         return {} if h == MU_ZERO else {h[0]: h[1]}
 
 
-@dataclass(frozen=True)
-class RowStep:
-    """Rows where a homogeneous element of one degree can start.
-
-    ``rows`` lists every row k that admits a matrix unit of the requested
-    degree; ``target[k]`` is the unique column (equivalently, the next row in
-    a product walk) forced by that degree.  ``target`` is a read-only view
-    of the row map the grading caches and shares with every walk.
-    """
-
-    rows: Tuple[int, ...]
-    target: Mapping[int, int]
-
-
-@dataclass(frozen=True)
-class RowWalk:
-    """Row data for a sequence of degrees multiplied left to right.
-
-    ``paths[k]`` has length m+1 for a degree sequence of length m: it starts
-    at k and records every intermediate row.  A row k is listed iff the whole
-    walk stays defined; an empty ``rows`` means the corresponding monomial
-    shape evaluates to zero on generic matrices.
-    """
-
-    rows: Tuple[int, ...]
-    paths: Dict[int, Tuple[int, ...]]
-
-
-def _walk_from(targets: Dict[Grade, Mapping[int, int]], hs: Sequence[Grade], start: int) -> Optional[list]:
+def _walk_from(targets: Dict[Grade, Dict[int, int]], hs: Sequence[Grade], start: int) -> Optional[list]:
     """Rows visited from ``start`` by a left-to-right sequence of degrees, or
-    None when the walk dies; ``targets[h]`` is the row map of grade h."""
+    None when the walk dies; ``targets[h]`` is the row map of grade h.  The
+    one walk over row maps: ``row_walk`` and ``find_congruence`` read it."""
     path = [start]
     append = path.append
     cur = start
@@ -436,9 +407,11 @@ class ElementaryGrading:
 
     Instances are immutable value objects; all derived data (support, row
     maps) is computed from the inducing tuple.  The row map of each grade is
-    computed once per grading and shared, read-only, by every later walk.
-    The diagonal is exactly the neutral component for group kinds because
-    the row grades are distinct.
+    computed once per grading and shared, read-only, by every later walk:
+    ``_walk_from`` is the one walk over row maps, and ``row_walk`` answers
+    only which start rows survive a degree sequence.  The diagonal is exactly
+    the neutral component for group kinds because the row grades are
+    distinct.
     """
 
     def __init__(self, structure: GradingStructure, row_grades: Sequence[Grade], spec: Optional[str] = None):
@@ -479,11 +452,6 @@ class ElementaryGrading:
     def neutral(self) -> Optional[Grade]:
         return self.structure.identity if self.structure.has_identity else None
 
-    def degree_rows(self, h: Grade) -> RowStep:
-        """Rows admitting a unit of degree h, with the forced column per row."""
-        target = self._target(h)
-        return RowStep(tuple(target), MappingProxyType(target))
-
     def _target(self, h: Grade) -> Dict[int, int]:
         """The row map of degree h: row k to the column its unit of degree h
         forces.  Computed once per grade and cached on this grading; hot
@@ -508,20 +476,14 @@ class ElementaryGrading:
             letter = self._letters[var] = (len(self._coded_vars) * (self.n + 1), target)
         return letter
 
-    def row_walk(self, hs: Sequence[Grade]) -> RowWalk:
-        """Surviving row walks for a left-to-right sequence of degrees."""
+    def row_walk(self, hs: Sequence[Grade]) -> Tuple[int, ...]:
+        """Start rows whose walk survives a left-to-right sequence of degrees;
+        no rows means the monomial shape evaluates to zero on generic matrices."""
         targets = {}
         for h in hs:
             if h not in targets:
                 targets[h] = self._target(h)
-        rows = []
-        paths: Dict[int, Tuple[int, ...]] = {}
-        for k in range(1, self.n + 1):
-            path = _walk_from(targets, hs, k)
-            if path is not None:
-                rows.append(k)
-                paths[k] = tuple(path)
-        return RowWalk(tuple(rows), paths)
+        return tuple(k for k in range(1, self.n + 1) if _walk_from(targets, hs, k) is not None)
 
     def describe(self) -> str:
         if self.spec:

@@ -10,7 +10,9 @@ row maps of the closed-form row walks:
 * ``matrix_unit_oracle``: substitution of every tuple of matrix units, an
   identity check for multilinear polynomials without generic matrices;
 * ``unit_chain_exists``: a search over unit tuples for the chain of a
-  complete sequence.
+  complete sequence;
+* ``unit_walks``: the row walks of a degree sequence, unit by unit, against
+  the walk over row maps that ``find_congruence`` reads.
 """
 
 from __future__ import annotations
@@ -74,6 +76,23 @@ def naive_monomial_product(grading: ElementaryGrading, m: Monomial) -> PolyMatri
     for (h, i), units in zip(m.vars, _units(grading, [v.grade for v in m.vars])):
         acc = matrix_product(acc, PolyMatrix(n, {(k, j): SparsePoly.variable((h, i, k)) for k, j in units}))
     return acc
+
+
+def unit_walks(grading: ElementaryGrading, hs: Sequence[Grade]) -> Dict[int, Tuple[int, ...]]:
+    """Start row to the rows visited by a left-to-right sequence of degrees,
+    for each start row whose walk survives: every step follows the unit of
+    the letter's degree in the current row, at most one per row."""
+    steps = [dict(units) for units in _units(grading, hs)]
+    walks = {}
+    for k in range(1, grading.n + 1):
+        path = [k]
+        for step in steps:
+            if path[-1] not in step:
+                break
+            path.append(step[path[-1]])
+        else:
+            walks[k] = tuple(path)
+    return walks
 
 
 def units_of_degree(grading: ElementaryGrading, h: Grade) -> List[Tuple[int, int]]:

@@ -106,7 +106,7 @@ def apply_rule(m: Monomial, rule: str, window: Tuple[int, ...], grading: Element
     (p,) = window
     if not (1 <= p <= l):
         raise RuleError(f"bad kill window {window} for length {l}")
-    if grading.degree_rows(m.vars[p - 1].grade).rows:
+    if grading._target(m.vars[p - 1].grade):
         raise RuleError(f"{rule} needs a degree with no admissible row")
     return None
 

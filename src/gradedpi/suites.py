@@ -31,7 +31,7 @@ from .freealg import (
     twin_block_threshold,
 )
 from .genericmodel import PolyMatrix, entry_match, evaluate, is_identity, monomial_product
-from .oracles import matrix_unit_oracle, naive_monomial_product, unit_chain_exists
+from .oracles import matrix_unit_oracle, naive_monomial_product, unit_chain_exists, unit_walks
 from .rewrite import _rule_names, apply_rule, find_congruence, replay
 from .bases import (
     GeneratorInstance,
@@ -432,11 +432,11 @@ def battery_congruence(seed: int = 0) -> List[ItemResult]:
         if n_mono == m:
             continue
         proof = find_congruence(m, n_mono, grading)
-        # expected from row_walk alone, apart from the search find_congruence
-        # shares with entry_match: a start row where both walks end on one
-        # row and visit every variable at the same rows
-        p1 = grading.row_walk([v.grade for v in m.vars]).paths
-        p2 = grading.row_walk([v.grade for v in n_mono.vars]).paths
+        # expected from the unit degrees alone, apart from the search and the
+        # row maps find_congruence reads: a start row where both walks end on
+        # one row and visit every variable at the same rows
+        p1 = unit_walks(grading, [v.grade for v in m.vars])
+        p2 = unit_walks(grading, [v.grade for v in n_mono.vars])
         match = any(
             p1[k][-1] == p2[k][-1] and Counter(zip(m.vars, p1[k])) == Counter(zip(n_mono.vars, p2[k]))
             for k in p1.keys() & p2.keys()

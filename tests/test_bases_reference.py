@@ -120,7 +120,7 @@ def reference_support_closed_monomial_identities(
     for d in range(1, effective + 1):
         for hs in itertools.product(supp, repeat=d):
             mono = canonical_monomial(hs)
-            if grading.row_walk(hs).rows:
+            if grading.row_walk(hs):
                 continue
             if not reference_classify(mono, grading).support_closed:
                 continue
@@ -158,7 +158,7 @@ def product_scan_monomial_identities(grading: ElementaryGrading, max_degree: int
         canonical_monomial(hs)
         for d in range(1, max_degree + 1)
         for hs in itertools.product(supp, repeat=d)
-        if not grading.row_walk(hs).rows
+        if not grading.row_walk(hs)
     )
 
 

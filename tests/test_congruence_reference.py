@@ -1,9 +1,11 @@
 """Differential check of find_congruence against the searches it replaced.
 
 ``reference_find_congruence`` and ``_reference_matched_walks`` are the
-earliest construction, kept verbatim apart from their names: before every
-strip or rearrangement it walked all start rows of both suffixes through
-``row_walk`` and aligned the suffixes through the least matching row.
+earliest construction, kept verbatim apart from their names and the source
+of the row walks: before every strip or rearrangement it walked all start
+rows of both suffixes and aligned the suffixes through the least matching
+row.  Those walks now come from ``oracles.unit_walks``, which reads the unit
+degrees, where the earlier code read the library's ``row_walk`` paths.
 ``suffix_find_congruence`` is the next one, also verbatim apart from its
 name: it searched once and carried the source rows along with the letters,
 but aligned the whole unmatched suffix again before every rearrangement.
@@ -25,6 +27,7 @@ from gradedpi import rewrite
 from gradedpi.freealg import Monomial, Var
 from gradedpi.genericmodel import entry_match
 from gradedpi.grading import ElementaryGrading, _walk_from, parse_grading_spec
+from gradedpi.oracles import unit_walks
 from gradedpi.rewrite import (
     CongruenceProof,
     RuleError,
@@ -41,11 +44,10 @@ def _reference_matched_walks(src: Monomial, dst: Monomial, grading: ElementaryGr
     entry, along with both row paths."""
     hs_src = [v.grade for v in src.vars]
     hs_dst = [v.grade for v in dst.vars]
-    w1 = grading.row_walk(hs_src)
-    w2 = grading.row_walk(hs_dst)
-    for k in w1.rows:
-        p1 = w1.paths[k]
-        p2 = w2.paths.get(k)
+    w1 = unit_walks(grading, hs_src)
+    w2 = unit_walks(grading, hs_dst)
+    for k, p1 in w1.items():
+        p2 = w2.get(k)
         if p2 is None or p1[-1] != p2[-1]:
             continue
         left = Counter(
@@ -242,7 +244,7 @@ def killed_pair(grading, length, rng):
     while True:
         word, _ = _walk_word(grading, length, rng)
         dead = sorted(word, key=lambda v: (str(v.grade), v.index))
-        if not grading.row_walk([v.grade for v in dead]).rows:
+        if not grading.row_walk([v.grade for v in dead]):
             return Monomial(dead), Monomial(word)
 
 
@@ -359,11 +361,11 @@ def test_every_matching_start_row_gives_one_alignment(gradings, name):
         for step in find_congruence(m, n, grading).steps:
             base = next(i for i in range(length) if cur.vars[i] != n.vars[i])
             src, dst = cur.vars[base:], n.vars[base:]
-            w1 = grading.row_walk([v.grade for v in src])
-            w2 = grading.row_walk([v.grade for v in dst])
+            w1 = unit_walks(grading, [v.grade for v in src])
+            w2 = unit_walks(grading, [v.grade for v in dst])
             alignments = []
-            for k in w1.rows:
-                p1, p2 = w1.paths[k], w2.paths.get(k)
+            for k, p1 in w1.items():
+                p2 = w2.get(k)
                 if p2 is None or p1[-1] != p2[-1]:
                     continue
                 if Counter(zip(src, p1)) == Counter(zip(dst, p2)):

@@ -3,9 +3,12 @@ replaced.
 
 ``DensePolyMatrix``, ``reference_monomial_product``, ``reference_evaluate``
 and the two reference witnesses are the earlier construction, kept verbatim
-apart from their names: every term built a dense n-by-n matrix from
-``row_walk`` and was merged into a dense accumulator.  The sparse path must
-give the same entries and byte-identical witnesses.
+apart from their names and the source of the row walks: every term built a
+dense n-by-n matrix from its row walks and was merged into a dense
+accumulator.  The walks now come from ``oracles.unit_walks``, which reads
+the unit degrees, where the earlier code read the library's ``row_walk``
+paths.  The sparse path must give the same entries and byte-identical
+witnesses.
 """
 
 import json
@@ -37,7 +40,7 @@ from gradedpi.grading import (
     TableGroup,
     parse_grading_spec,
 )
-from gradedpi.oracles import naive_monomial_product
+from gradedpi.oracles import naive_monomial_product, unit_walks
 from gradedpi.rewrite import apply_rule
 from gradedpi.suites import _applicable_rewrites
 
@@ -90,10 +93,9 @@ def reference_monomial_product(grading: ElementaryGrading, vars: Union[Monomial,
     n = grading.n
     if not pairs:
         return DensePolyMatrix.identity(n)
-    walk = grading.row_walk([h for h, _ in pairs])
+    walks = unit_walks(grading, [h for h, _ in pairs])
     rows = [[SparsePoly.zero()] * n for _ in range(n)]
-    for k in walk.rows:
-        path = walk.paths[k]
+    for k, path in walks.items():
         powers = Counter(
             (pairs[c][0], pairs[c][1], path[c]) for c in range(len(pairs))
         )

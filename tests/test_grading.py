@@ -17,11 +17,21 @@ from gradedpi.grading import (
     MU_ZERO,
     MatrixUnitSemigroup,
     TableGroup,
+    _walk_from,
     complete_sequence_unit_witness,
     enumerate_complete_sequences,
     is_complete_sequence,
     parse_grading_spec,
 )
+from gradedpi.oracles import unit_walks
+
+
+def _paths(grading, hs):
+    """Start row to its path, for the start rows whose ``_walk_from`` over
+    the grading's row maps survives ``hs``."""
+    targets = {h: grading._target(h) for h in hs}
+    walks = {k: _walk_from(targets, hs, k) for k in range(1, grading.n + 1)}
+    return {k: tuple(path) for k, path in walks.items() if path is not None}
 
 
 def brute_support(grading):
@@ -141,19 +151,12 @@ class TestElementaryGrading:
         z4 = parse_grading_spec("z:4")
         assert z4.support() == brute_support(z4) == set(range(-3, 4))
 
-    def test_degree_rows_examples(self):
-        z3 = parse_grading_spec("z:3")
-        step = z3.degree_rows(1)
-        assert step.rows == (1, 2)
-        assert step.target == {1: 2, 2: 3}
-        zn2 = parse_grading_spec("zn:2")
-        step = zn2.degree_rows(1)
-        assert step.rows == (1, 2)
-        assert step.target == {1: 2, 2: 1}
-        z2 = parse_grading_spec("z:2")
-        assert z2.degree_rows(2).rows == ()
+    def test_target_examples(self):
+        assert parse_grading_spec("z:3")._target(1) == {1: 2, 2: 3}
+        assert parse_grading_spec("zn:2")._target(1) == {1: 2, 2: 1}
+        assert parse_grading_spec("z:2")._target(2) == {}
 
-    def test_degree_rows_against_definition(self, s3_grading):
+    def test_target_against_definition(self, s3_grading):
         # brute force over unit positions, for every grading kind
         for grading in (
             parse_grading_spec("zn:3"),
@@ -161,14 +164,9 @@ class TestElementaryGrading:
             parse_grading_spec("mu:3"),
             s3_grading,
         ):
-            degrees = {
-                grading.unit_degree(i, j)
-                for i in range(1, grading.n + 1)
-                for j in range(1, grading.n + 1)
-            }
-            for h in degrees:
-                step = grading.degree_rows(h)
-                expected_rows = []
+            for h in brute_support(grading):
+                target = grading._target(h)
+                expected = {}
                 for k in range(1, grading.n + 1):
                     cols = [
                         j
@@ -176,49 +174,42 @@ class TestElementaryGrading:
                         if grading.unit_degree(k, j) == h
                     ]
                     if cols:
-                        expected_rows.append(k)
                         assert len(cols) == 1
-                        assert step.target[k] == cols[0]
-                assert list(step.rows) == expected_rows
-                for k in step.rows:
-                    assert grading.unit_degree(k, step.target[k]) == h
+                        expected[k] = cols[0]
+                # rows ascending: start rows iterate the map
+                assert list(target.items()) == list(expected.items())
+                # one dict per grade, shared by every later walk
+                assert grading._target(h) is target
 
-    def test_degree_rows_cached_per_grading(self):
+    def test_target_cached_per_grading(self):
         zn3 = parse_grading_spec("zn:3")
-        assert zn3.degree_rows(1).target == zn3._target(1)
         assert zn3._target(1) is zn3._target(1)
-        # the shared row map cannot be changed through a caller
-        with pytest.raises(TypeError):
-            zn3.degree_rows(1).target[1] = 1
         # a new grading of the same spec computes its own row maps
         again = parse_grading_spec("zn:3")
         assert again._target(1) is not zn3._target(1)
-        assert again.degree_rows(1) == zn3.degree_rows(1)
+        assert again._target(1) == zn3._target(1)
         # an invalid grade is refused every time, never cached
         for _ in range(2):
-            with pytest.raises(GradingError):
-                zn3.degree_rows(3)
+            with pytest.raises(GradingError, match="not a grade"):
+                zn3._target(3)
+            assert 3 not in zn3._targets
 
     def test_row_walk_examples(self):
         zn2 = parse_grading_spec("zn:2")
-        walk = zn2.row_walk([1, 1])
-        assert walk.rows == (1, 2)
-        assert walk.paths[1] == (1, 2, 1)
-        assert walk.paths[2] == (2, 1, 2)
+        assert zn2.row_walk([1, 1]) == (1, 2)
+        assert _paths(zn2, [1, 1]) == unit_walks(zn2, [1, 1]) == {1: (1, 2, 1), 2: (2, 1, 2)}
         z2 = parse_grading_spec("z:2")
-        assert z2.row_walk([1, 1]).rows == ()
-        walk = z2.row_walk([])
-        assert walk.rows == (1, 2)
-        assert walk.paths[1] == (1,)
+        assert z2.row_walk([1, 1]) == ()
+        assert _paths(z2, [1, 1]) == unit_walks(z2, [1, 1]) == {}
+        assert z2.row_walk([]) == (1, 2)
+        assert _paths(z2, []) == unit_walks(z2, []) == {1: (1,), 2: (2,)}
 
     def test_row_walk_matches_single_step(self, s3_grading):
         for grading in (parse_grading_spec("zn:3"), parse_grading_spec("z:2"), s3_grading):
             for h in sorted(grading.support(), key=repr):
-                step = grading.degree_rows(h)
-                walk = grading.row_walk([h])
-                assert walk.rows == step.rows
-                for k in walk.rows:
-                    assert walk.paths[k] == (k, step.target[k])
+                target = grading._target(h)
+                assert grading.row_walk([h]) == tuple(target)
+                assert _paths(grading, [h]) == unit_walks(grading, [h]) == {k: (k, j) for k, j in target.items()}
 
     def test_row_walk_recurrence(self, s3_grading):
         # g at the next row equals g at the current row times the step degree
@@ -226,9 +217,10 @@ class TestElementaryGrading:
         st = grading.structure
         supp = sorted(grading.support())
         for hs in itertools.product(supp, repeat=3):
-            walk = grading.row_walk(hs)
-            for k in walk.rows:
-                path = walk.paths[k]
+            paths = _paths(grading, hs)
+            assert paths == unit_walks(grading, hs)
+            assert grading.row_walk(hs) == tuple(paths)
+            for path in paths.values():
                 for l, h in enumerate(hs):
                     g_cur = grading.row_grades[path[l] - 1]
                     g_next = grading.row_grades[path[l + 1] - 1]

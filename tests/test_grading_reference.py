@@ -8,14 +8,20 @@ an elementary grading that branched on it for the unit degrees and row maps,
 a rewrite step that wrote each rule's precondition once per kind, and a
 classification with a separate support-closure pass for the positional kind.
 ``_support_closed`` is the support-closure test that followed them, kept
-verbatim: it multiplies out the running product of every subword.  The
-current code must agree with them on every grading kind.
+verbatim: it multiplies out the running product of every subword.
+``RowStep``, ``RowWalk``, ``reference_walk_from`` and the reference
+grading's ``degree_rows`` and ``row_walk`` are the row-walk API that
+followed, also verbatim apart from their names: every start row's full path
+and each grade's rows, where the library now keeps only the surviving start
+rows and the row maps.  The current code must agree with them on every
+grading kind.
 """
 
 import itertools
 import random
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -34,11 +40,12 @@ from gradedpi.grading import (
     GradingStructure,
     IntegerGroup,
     MatrixUnitSemigroup,
-    RowStep,
     TableGroup,
     _check_matrix_size,
+    _walk_from,
     parse_grading_spec,
 )
+from gradedpi.oracles import unit_walks
 from gradedpi.rewrite import (
     KILL_EMPTY_SUPPORT,
     MU_KILL,
@@ -271,6 +278,47 @@ def reference_group_from_table(names: Sequence[str], table: Sequence[Sequence[in
     return ReferenceStructure(FINITE_GROUP, names=names, table=table)
 
 
+@dataclass(frozen=True)
+class RowStep:
+    """Rows where a homogeneous element of one degree can start.
+
+    ``rows`` lists every row k that admits a matrix unit of the requested
+    degree; ``target[k]`` is the unique column (equivalently, the next row in
+    a product walk) forced by that degree.  ``target`` is a read-only view
+    of the row map the grading caches and shares with every walk.
+    """
+
+    rows: Tuple[int, ...]
+    target: Mapping[int, int]
+
+
+@dataclass(frozen=True)
+class RowWalk:
+    """Row data for a sequence of degrees multiplied left to right.
+
+    ``paths[k]`` has length m+1 for a degree sequence of length m: it starts
+    at k and records every intermediate row.  A row k is listed iff the whole
+    walk stays defined; an empty ``rows`` means the corresponding monomial
+    shape evaluates to zero on generic matrices.
+    """
+
+    rows: Tuple[int, ...]
+    paths: Dict[int, Tuple[int, ...]]
+
+
+def reference_walk_from(targets: Dict[Grade, Mapping[int, int]], hs: Sequence[Grade], start: int) -> Optional[list]:
+    """Rows visited from ``start`` by a left-to-right sequence of degrees, or
+    None when the walk dies; ``targets[h]`` is the row map of grade h."""
+    path = [start]
+    append = path.append
+    cur = start
+    for h in hs:
+        cur = targets[h].get(cur)
+        if cur is None:
+            return None
+        append(cur)
+    return path
+
 
 class ReferenceGrading:
     """Grading of the n-by-n matrix algebra induced by distinct row grades.
@@ -357,6 +405,21 @@ class ReferenceGrading:
                     target[k] = j
         self._targets[h] = target
         return target
+
+    def row_walk(self, hs: Sequence[Grade]) -> RowWalk:
+        """Surviving row walks for a left-to-right sequence of degrees."""
+        targets = {}
+        for h in hs:
+            if h not in targets:
+                targets[h] = self._target(h)
+        rows = []
+        paths: Dict[int, Tuple[int, ...]] = {}
+        for k in range(1, self.n + 1):
+            path = reference_walk_from(targets, hs, k)
+            if path is not None:
+                rows.append(k)
+                paths[k] = tuple(path)
+        return RowWalk(tuple(rows), paths)
 
 
 # -- rewrite rules ------------------------------------------------------------
@@ -623,11 +686,11 @@ def test_grading_data_matches_reference(name):
     for i, j in itertools.product(range(0, new.n + 2), repeat=2):
         assert _outcome(new.unit_degree, i, j) == _outcome(old.unit_degree, i, j), (i, j)
     for h in pool + JUNK:
-        got = _outcome(lambda: dict(new.degree_rows(h).target))
+        got = _outcome(lambda: dict(new._target(h)))
         want = _outcome(lambda: dict(old.degree_rows(h).target))
         assert got == want, h
         if got[0] == "value":
-            assert new.degree_rows(h).rows == old.degree_rows(h).rows
+            assert tuple(new._target(h)) == old.degree_rows(h).rows
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -636,6 +699,52 @@ def test_products_match_reference(data):
     old, new, pool = PAIRS[data.draw(st.sampled_from(NAMES))]
     grades = data.draw(st.lists(st.sampled_from(pool), max_size=6))
     assert _outcome(new.structure.product, grades) == _outcome(old.structure.product, grades)
+
+
+def _walk_cases():
+    """(reference grading, current grading, degree pool) per grading of the
+    row-walk property: the pool is the support, plus one grade of the
+    structure outside it where the kind has one (z:3, mu:3 and S3 on three
+    rows; zn:n and Klein (e, a, b) have full support)."""
+    graded = {name: PAIRS[name][:2] for name in ("zn:3", "z:3", "mu:3", "S3", "Klein")}
+    rows = (1, 2, 3, 0)
+    graded["zn:4"] = (ReferenceGrading(reference_cyclic_group(4), rows), ElementaryGrading(CyclicGroup(4), rows))
+    out = {}
+    for name, (old, new) in graded.items():
+        supp = sorted(new.support(), key=repr)
+        if new.structure.kind == INTEGERS:
+            outside = [max(supp) + 1]
+        else:
+            outside = [g for g in new.structure.elements() if g not in new.support()][:1]
+        out[name] = (old, new, tuple(supp + outside))
+    return out
+
+
+WALK_CASES = _walk_cases()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_row_walks_match_the_reference_row_walk(data):
+    old, new, pool = WALK_CASES[data.draw(st.sampled_from(sorted(WALK_CASES)))]
+    hs = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+    want = old.row_walk(hs)
+    assert new.row_walk(hs) == want.rows
+    assert unit_walks(new, hs) == want.paths
+    targets = {h: new._target(h) for h in hs}
+    walks = {k: _walk_from(targets, hs, k) for k in range(1, new.n + 1)}
+    assert {k: tuple(path) for k, path in walks.items() if path is not None} == want.paths
+    for h in pool + JUNK:
+        got = _outcome(lambda: bool(new._target(h)))
+        assert got == _outcome(lambda: bool(old.degree_rows(h).rows)), h
+    # a letter outside the structure is refused with the same text;
+    # some junk values are grades of this kind
+    bad = hs + [data.draw(st.sampled_from(JUNK))]
+    want = _outcome(old.row_walk, bad)
+    if want[0] == "value":
+        assert new.row_walk(bad) == want[1].rows and unit_walks(new, bad) == want[1].paths
+    else:
+        assert _outcome(new.row_walk, bad) == _outcome(unit_walks, new, bad) == want
 
 
 def _words(data, old, pool, max_size):
