@@ -18,8 +18,7 @@ reports.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .grading import (
     ElementaryGrading,
@@ -54,15 +53,13 @@ class BasesError(ValueError):
     """Unsupported grading/kind combination or violated precondition."""
 
 
-@dataclass
-class GeneratorInstance:
+class GeneratorInstance(NamedTuple):
     family: str
     poly: Polynomial
     params: dict
 
 
-@dataclass
-class BasisInstances:
+class BasisInstances(NamedTuple):
     instances: List[GeneratorInstance]
     truncated: bool
 

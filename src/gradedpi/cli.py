@@ -24,7 +24,6 @@ from .freealg import (
 from .genericmodel import centrality_witness, identity_witness
 from .rewrite import RuleError, find_congruence, proof_to_json
 from .bases import BasesError, basis_report, enumerate_monomial_identities
-from .suites import SUITES, all_passed, run_suite
 
 
 class UsageError(Exception):
@@ -140,6 +139,9 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # the suites and their reference oracles load only for this subcommand
+    from .suites import SUITES, all_passed, run_suite
+
     if args.suite != "all" and args.suite not in SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; known: {', '.join(sorted(SUITES))}")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]

@@ -2,16 +2,15 @@
 
 Monomials are ordered tuples of graded variables; polynomials are finite
 integer combinations of monomials with the free (noncommutative) product.
-The module also houses the structural analysis used by the rewriting and
-basis machinery: windows, graded substitution, the text grammar, and the
-classification of monomials by their subword degrees.
+The module also houses graded substitution, the text grammar, and the
+classification of monomials by their subword degrees, which the
+verification suites read.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
 
 from .grading import ElementaryGrading, Grade, GradingError
@@ -30,7 +29,7 @@ class Monomial:
     __slots__ = ("vars",)
 
     def __init__(self, vars: Iterable[Var] = ()):
-        object.__setattr__(self, "vars", tuple(vars))
+        self.vars = tuple(vars)
 
     def __len__(self):
         return len(self.vars)
@@ -81,7 +80,7 @@ class Polynomial:
             for m, c in terms.items():
                 if c:
                     clean[m] = c
-        object.__setattr__(self, "terms", clean)
+        self.terms = clean
 
     @staticmethod
     def zero() -> "Polynomial":
@@ -208,8 +207,7 @@ def apply_substitution(
 # -- classification by subword degrees ----------------------------------------
 
 
-@dataclass(frozen=True)
-class TwinBlocks:
+class TwinBlocks(NamedTuple):
     """Witness of two equal neutral blocks separated by a neutral gap.
 
     Blocks are variables p1..p1+a and p2..p2+a (1-based, inclusive); both have
@@ -222,8 +220,7 @@ class TwinBlocks:
     p2: int
 
 
-@dataclass(frozen=True)
-class MonomialClass:
+class MonomialClass(NamedTuple):
     support_closed: bool
     twin_blocks: Optional[TwinBlocks]
     has_proper_neutral_subword: bool
@@ -306,7 +303,9 @@ MAX_TERM_DEGREE = 4096
 
 #: largest evaluation work of one input: n (rows of the grading) times its
 #: letters over all terms, with ``x^k`` counting k.  Parsing keeps every
-#: letter and an evaluation keeps about 130 bytes per row and letter, so the
+#: letter.  Per row and letter, a verdict keeps about 50 bytes when it walks
+#: every row (``z:``) and a few when it walks row 1 alone (a transitive
+#: grading); ``evaluate``, which decodes the whole matrix, about 170.  The
 #: parser refuses the factor that would pass the cap before expanding it.
 MAX_INPUT_ROW_STEPS = 2_000_000
 

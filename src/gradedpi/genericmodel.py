@@ -2,9 +2,11 @@
 
 Each graded variable x[h,i] is assigned a generic matrix with one fresh
 commuting variable per admissible row.  A graded polynomial is an identity of
-the matrix algebra over any infinite integral domain iff its generic
-evaluation is the zero matrix, and central iff the evaluation is scalar; both
-checks are exact integer polynomial comparisons.
+the matrix algebra over an infinite integral domain iff its generic
+evaluation is the zero matrix, and central iff the evaluation is scalar.
+Both checks ask integer coefficients to vanish in Z, so the verdicts are
+those of characteristic 0: ``2*x[1,1]`` on ``zn:2`` is not an identity here,
+though it is one over a domain of characteristic 2.
 
 One routine, ``_entry_keys``, walks a word in closed form from the row walks
 of its degree sequence, rather than by iterated matrix multiplication, and

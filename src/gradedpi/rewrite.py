@@ -27,8 +27,7 @@ means blocks [p..q], [q+1..r], [r+1..s]; a kill window is (p,).
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .grading import ElementaryGrading, MATRIX_UNITS, _walk_from
 from .freealg import Monomial, format_monomial, parse_monomial
@@ -46,14 +45,12 @@ class RuleError(ValueError):
     """A rewrite rule was applied outside its precondition."""
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     rule: str
     window: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CongruenceProof:
+class CongruenceProof(NamedTuple):
     """Replayable rewrite chain from ``start`` to ``end``."""
 
     start: Monomial

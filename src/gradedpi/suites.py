@@ -11,8 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .grading import (
     ElementaryGrading,
@@ -44,8 +43,7 @@ from .bases import (
 )
 
 
-@dataclass
-class ItemResult:
+class ItemResult(NamedTuple):
     item: str
     passed: bool
     detail: str = ""

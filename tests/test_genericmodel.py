@@ -387,22 +387,31 @@ class TestWitnesses:
         assert diag["reference_position"] == [1, 1]
 
 
-def _loads_oracles(*modules):
-    """Whether a fresh interpreter holds ``gradedpi.oracles`` after importing
-    the given modules, from the same source tree as this test process."""
-    code = "".join(f"import {m}\n" for m in modules)
-    code += "import sys\nprint('gradedpi.oracles' in sys.modules)"
+def _held_after(code, *names):
+    """The ``names`` a fresh interpreter holds in ``sys.modules`` after running
+    ``code``, from the same source tree as this test process."""
+    code += f"\nimport sys\nprint(*[n for n in {names!r} if n in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gradedpi.__file__).parent.parent))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    return done.stdout.strip() == "True"
+    return done.stdout.splitlines()[-1].split()
 
 
 class TestImportBoundary:
     def test_decision_path_does_not_load_the_oracles(self):
         modules = ("gradedpi", "gradedpi.genericmodel", "gradedpi.bases", "gradedpi.rewrite")
-        assert not _loads_oracles(*modules)
+        code = "".join(f"import {m}\n" for m in modules)
+        assert _held_after(code, "gradedpi.oracles") == []
+
+    def test_cli_loads_neither_suites_nor_dataclasses(self):
+        # ``random`` is left out: the interpreter's own start-up may import it
+        held = _held_after("import gradedpi.cli", "gradedpi.suites", "gradedpi.oracles", "dataclasses")
+        assert held == []
+
+    def test_verify_loads_the_suites(self):
+        code = 'from gradedpi import cli\ncli.main(["verify", "--suite", "complete-seq"])'
+        assert _held_after(code, "gradedpi.suites", "gradedpi.oracles") == ["gradedpi.suites", "gradedpi.oracles"]
 
     def test_suites_load_the_oracles(self):
-        assert _loads_oracles("gradedpi.suites")
+        assert _held_after("import gradedpi.suites", "gradedpi.oracles") == ["gradedpi.oracles"]
