@@ -12,7 +12,8 @@ row maps of the closed-form row walks:
 * ``unit_chain_exists``: a search over unit tuples for the chain of a
   complete sequence;
 * ``unit_walks``: the row walks of a degree sequence, unit by unit, against
-  the walk over row maps that ``find_congruence`` reads.
+  the walk over row maps (``grading._walk_from``) that ``row_walk`` and
+  ``find_congruence`` read.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ def _units(grading: ElementaryGrading, grades: Sequence[Grade]) -> List[List[Pos
     """The unit positions of each grade, row-major, from one scan of the n^2
     unit degrees; a grade outside the structure is refused."""
     by_degree: Dict[Grade, List[Position]] = {}
+    unit_degree, rows = grading.structure.unit_degree, grading.row_grades
     for i, j in itertools.product(range(1, grading.n + 1), repeat=2):
-        by_degree.setdefault(grading.unit_degree(i, j), []).append((i, j))
+        by_degree.setdefault(unit_degree(rows, i, j), []).append((i, j))
     return [by_degree.get(grading.structure.require(h), []) for h in grades]
 
 

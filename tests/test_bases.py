@@ -92,8 +92,8 @@ class TestBuildBasis:
         basis = build_basis(MU2, "identities")
         assert {inst.family for inst in basis.instances} == {"(5)", "(6)", "(7)"}
 
-    def test_general_group_families(self, cayley_file):
-        grading = parse_grading_spec(f"group:{cayley_file}:e,a")  # Klein group on M_2
+    def test_general_group_families(self, klein_file):
+        grading = parse_grading_spec(f"group:{klein_file}:e,a")  # Klein group on M_2
         basis = build_basis(grading, "identities", cutoff=3)
         families = {inst.family for inst in basis.instances}
         assert {"(1)", "(2)", "(3)"} <= families

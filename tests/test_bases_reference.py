@@ -2,29 +2,27 @@
 replaced, and golden items of the suites' family batteries.
 
 ``reference_build_basis``, ``reference_flank_family`` (with ``_flanked``),
-``reference_support_closed_monomial_identities``,
 ``reference_verify_instance`` (with ``REFERENCE_EXPECTATIONS``),
 ``reference_complete_sequences`` and ``reference_lift_sequences`` (with
 ``_partial_sum_span``) are the earlier construction, kept verbatim apart from
 their names: the central families (8)/(9) and (12)-(14) wrote their
-commutator, reversal and kill polynomials by hand, family (4) built a
-canonical monomial for every degree tuple, every family carried its own
-expectation, and the complete sequences of families (11) and (15) were
+commutator, reversal and kill polynomials by hand, every family carried its
+own expectation, and the complete sequences of families (11) and (15) were
 filtered from all n**n residue tuples and all (2n-1)**n integer lifts.
 ``reference_search_sequences`` is the depth-first search over new partial
 sums that replaced those filters, also kept verbatim apart from its name.  The
 library must emit the same instances, with the same parameters, truncation
-flags and verdicts, and the same sequences in the same order.  Family (4)
-filters with ``reference_classify``, the earlier classification, so it does
-not lean on the library's ``classify``.
+flags and verdicts, and the same sequences in the same order.
 
 ``product_scan_monomial_identities`` and
 ``product_scan_support_closed_monomial_identities`` are the product scan
 that family (4) used before it extended closed prefixes, kept verbatim apart
-from their names: every degree tuple walked from every row, and the dead
-ones filtered by the library's ``classify``.  The library must emit the same
-family (4) instances, truncation flag and refusal text on random row tuples
-of S3, S4 and the Klein group.
+from their names and the closure test: every degree tuple walked from every
+row, and the dead ones filtered by ``reference_classify``, the earlier
+classification, where the earlier code called the library's ``classify``.
+``reference_build_basis`` takes its family (4) from this scan, and the
+library must emit the same family (4) instances, truncation flag and refusal
+text on random row tuples of S3, S4 and the Klein group.
 """
 
 import itertools
@@ -54,7 +52,7 @@ from gradedpi.bases import (
     enumerate_monomial_identities,
     verify_instance,
 )
-from gradedpi.freealg import Monomial, Polynomial, Var, classify, format_polynomial, twin_block_threshold
+from gradedpi.freealg import Monomial, Polynomial, Var, format_polynomial, twin_block_threshold
 from gradedpi.genericmodel import _require_zero_constant, evaluate
 from gradedpi.grading import (
     ElementaryGrading,
@@ -110,30 +108,6 @@ def _flanked(inner: Polynomial, z1: Optional[Var], z2: Optional[Var]) -> Polynom
     return left * inner * right
 
 
-def reference_support_closed_monomial_identities(
-    grading: ElementaryGrading, cutoff: int
-) -> Tuple[List[GeneratorInstance], bool]:
-    supp = sorted(grading.support())
-    threshold = twin_block_threshold(len(supp))
-    effective = min(cutoff, threshold)
-    out = []
-    for d in range(1, effective + 1):
-        for hs in itertools.product(supp, repeat=d):
-            mono = canonical_monomial(hs)
-            if grading.row_walk(hs):
-                continue
-            if not reference_classify(mono, grading).support_closed:
-                continue
-            out.append(
-                GeneratorInstance(
-                    "(4)",
-                    Polynomial.from_monomial(mono),
-                    {"h": [grading.structure.format_grade(h) for h in hs]},
-                )
-            )
-    return out, effective < threshold
-
-
 def product_scan_monomial_identities(grading: ElementaryGrading, max_degree: int) -> Iterator[Monomial]:
     """All multilinear monomial identities up to a degree bound.
 
@@ -173,7 +147,7 @@ def product_scan_support_closed_monomial_identities(
             "(4)", Polynomial.from_monomial(mono), {"h": [format_grade(h) for h in mono.h]}
         )
         for mono in product_scan_monomial_identities(grading, effective)
-        if classify(mono, grading).support_closed
+        if reference_classify(mono, grading).support_closed
     ]
     return out, effective < threshold
 
@@ -319,7 +293,7 @@ def reference_build_basis(
             instances += _kill_instances(
                 grading, [h for h in st.elements() if h not in grading.support()]
             )
-            fam4, truncated = reference_support_closed_monomial_identities(
+            fam4, truncated = product_scan_support_closed_monomial_identities(
                 grading, cutoff if cutoff is not None else 4
             )
             return BasisInstances(instances + fam4, truncated)

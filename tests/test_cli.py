@@ -96,13 +96,13 @@ class TestCheckCommands:
         assert code == 2
         assert "prime" in err
 
-    def test_cayley_file_grading(self, capsys, cayley_file):
+    def test_cayley_file_grading(self, capsys, klein_file):
         # Klein four-group on M_2 via a table file; the neutral commutator
         # is an identity and a variable graded outside the support vanishes
         code, _, _ = run(
             capsys,
             "check-identity",
-            "--grading", f"group:{cayley_file}:e,a",
+            "--grading", f"group:{klein_file}:e,a",
             "--poly", "x[0,1]*x[0,2] - x[0,2]*x[0,1]",
             "--poly", "x[2,1]",
         )
@@ -449,8 +449,8 @@ class TestResourceCaps:
         code, _, _ = run(capsys, "check-identity", "--grading", "zn:128", "--poly", "x[0,1]")
         assert code == 1
 
-    def test_monomial_scan_cap(self, capsys, cayley_file):
-        klein = f"group:{cayley_file}:e,a,b"  # support of 4 grades on M_3
+    def test_monomial_scan_cap(self, capsys, klein_file):
+        klein = f"group:{klein_file}:e,a,b"  # support of 4 grades on M_3
         for argv, message in (
             (["enumerate", "--grading", "z:16", "--max-degree", "8"], "exceeds the limit"),
             (["enumerate", "--grading", "zn:64"], "exceeds the limit"),

@@ -1,4 +1,4 @@
-"""Differential check of find_congruence against the searches it replaced.
+"""Differential check of find_congruence against the search it replaced.
 
 ``reference_find_congruence`` and ``_reference_matched_walks`` are the
 earliest construction, kept verbatim apart from their names and the source
@@ -6,12 +6,9 @@ of the row walks: before every strip or rearrangement it walked all start
 rows of both suffixes and aligned the suffixes through the least matching
 row.  Those walks now come from ``oracles.unit_walks``, which reads the unit
 degrees, where the earlier code read the library's ``row_walk`` paths.
-``suffix_find_congruence`` is the next one, also verbatim apart from its
-name: it searched once and carried the source rows along with the letters,
-but aligned the whole unmatched suffix again before every rearrangement.
 The current construction pairs the whole words once and re-pairs only the
 letters a rearrangement moves; it must produce the same proof, step for
-step, as both.
+step.
 """
 
 import random
@@ -20,13 +17,12 @@ from collections import Counter, deque
 from typing import Dict, List, Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from gradedpi import rewrite
 from gradedpi.freealg import Monomial, Var
-from gradedpi.genericmodel import entry_match
-from gradedpi.grading import ElementaryGrading, _walk_from, parse_grading_spec
+from gradedpi.grading import ElementaryGrading, parse_grading_spec
 from gradedpi.oracles import unit_walks
 from gradedpi.rewrite import (
     CongruenceProof,
@@ -109,59 +105,6 @@ def reference_find_congruence(m: Monomial, n: Monomial, grading: ElementaryGradi
             steps.append(step)
         if cur.vars[base] != n.vars[base]:
             raise RuntimeError("rearrangement did not surface the target variable")
-    if cur != n:
-        raise RuntimeError("congruence construction ended on the wrong monomial")
-    return CongruenceProof(m, n, tuple(steps))
-
-
-def suffix_find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Optional[CongruenceProof]:
-    if Counter(m.vars) != Counter(n.vars):
-        raise RuleError("congruence needs monomials with the same variable multiset")
-    if m == n:
-        return CongruenceProof(m, n, ())
-    hit = entry_match(m, n, grading)
-    if hit is None:
-        return None
-    r = len(m)
-    targets = {g: grading._target(g) for g in {v.grade for v in m.vars}}
-    src_rows = _walk_from(targets, [v.grade for v in m.vars], hit[0])
-    dst_rows = _walk_from(targets, [v.grade for v in n.vars], hit[0])
-    steps: List[Step] = []
-    cur = m
-    base = 0
-    guard = 0
-    while base < r:
-        guard += 1
-        if guard > 6 * r + 6:
-            raise RuntimeError("congruence construction failed to converge")
-        if cur.vars[base] == n.vars[base]:
-            base += 1
-            continue
-        # align src positions with dst positions by (variable, row)
-        slots: Dict[tuple, deque] = {}
-        for c, key in enumerate(zip(n.vars[base:], dst_rows[base:]), 1):
-            slots.setdefault(key, deque()).append(c)
-        pos: Dict[int, int] = {}
-        for c, key in enumerate(zip(cur.vars[base:], src_rows[base:]), 1):
-            queue = slots.get(key)
-            if not queue:
-                raise RuntimeError("inconsistent alignment despite matching entries")
-            pos[queue.popleft()] = c
-        # least t whose successor block sits before the front block of dst
-        t = 1
-        while pos[t + 1] >= pos[1]:
-            t += 1
-        k1, k2, k3 = pos[t + 1], pos[1], pos[t]
-        if not (k1 < k2 <= k3):
-            raise RuntimeError("misordered rearrangement windows")
-        for step in _rearrangement_steps(grading, base, k1, k2, k3, cur):
-            cur = apply_rule(cur, step.rule, step.window, grading)
-            steps.append(step)
-        if cur.vars[base] != n.vars[base]:
-            raise RuntimeError("rearrangement did not surface the target variable")
-        # the suffix blocks A B C became C B A, each letter read at its old row
-        a, b, c = base + k1 - 1, base + k2 - 1, base + k3
-        src_rows[base:c] = src_rows[b:c] + src_rows[a:b] + src_rows[base:a]
     if cur != n:
         raise RuntimeError("congruence construction ended on the wrong monomial")
     return CongruenceProof(m, n, tuple(steps))
@@ -287,6 +230,18 @@ def _outcome(search, m, n, grading):
         return type(exc), str(exc)
 
 
+#: the seed ``derandomize`` took from this property's source while it also
+#: compared the superseded suffix search: a digest of the source, so that any
+#: edit redraws the examples.  Pinned, the property keeps the same fifty
+#: examples, among them three congruent pairs of 768 letters, on which the
+#: reference spends most of its time (it walks every suffix again per step)
+KEPT_ALIGNMENT_SEED = int(
+    "33405481535117161097876899447737009556029913915651759270183433435265"
+    "61298471416863152435425780559630404166647644910"
+)
+
+
+@seed(KEPT_ALIGNMENT_SEED)
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_kept_alignment_matches_both_references(gradings, data):
@@ -310,7 +265,6 @@ def test_kept_alignment_matches_both_references(gradings, data):
         m, n = Monomial(word), Monomial(other)
     for src, dst in ((m, n), (n, m)):
         outcome = _outcome(find_congruence, src, dst, grading)
-        assert outcome == _outcome(suffix_find_congruence, src, dst, grading)
         assert outcome == _outcome(reference_find_congruence, src, dst, grading)
         if isinstance(outcome, CongruenceProof):
             assert replay(outcome, grading) == dst

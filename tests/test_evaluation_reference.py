@@ -8,7 +8,8 @@ dense n-by-n matrix from its row walks and was merged into a dense
 accumulator.  The walks now come from ``oracles.unit_walks``, which reads
 the unit degrees, where the earlier code read the library's ``row_walk``
 paths.  The sparse path must give the same entries and byte-identical
-witnesses.
+witnesses, on whole matrices and, on transitive gradings, on the row-1
+verdicts with their relabelled diagonal entries.
 """
 
 import json
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KLEIN_TABLE, permutation_group_table
+from conftest import klein_table, permutation_group_table
 from gradedpi import genericmodel
 from gradedpi.bases import cyclic_symmetrization
 from gradedpi.freealg import Monomial, Polynomial, Var, parse_polynomial
@@ -36,7 +37,6 @@ from gradedpi.grading import (
     CyclicGroup,
     ElementaryGrading,
     GradingError,
-    MU_ZERO,
     TableGroup,
     parse_grading_spec,
 )
@@ -158,29 +158,6 @@ def reference_centrality_witness(f: Polynomial, grading: ElementaryGrading) -> d
 # -- the comparison --------------------------------------------------------------
 
 
-def _klein_grading():
-    lines = KLEIN_TABLE.splitlines()
-    names = lines[0].split()
-    index = {name: i for i, name in enumerate(names)}
-    table = [[index[x] for x in line.split()] for line in lines[1:]]
-    return ElementaryGrading(TableGroup(names, table), (0, 1))
-
-
-@pytest.fixture(scope="module")
-def every_kind(s3_grading):
-    """One grading per kind, with grades outside the support where the kind
-    has them, so that killed monomials occur."""
-    mu3 = [MU_ZERO] + [(i, j) for i in range(1, 4) for j in range(1, 4)]
-    return {
-        "zn:3": (parse_grading_spec("zn:3"), list(range(3))),
-        "zn:5": (parse_grading_spec("zn:5"), list(range(5))),
-        "z:3": (parse_grading_spec("z:3"), list(range(-4, 5))),
-        "mu:3": (parse_grading_spec("mu:3"), mu3),
-        "s3": (s3_grading, list(range(6))),
-        "klein": (_klein_grading(), list(range(4))),
-    }
-
-
 def _witness_bytes(fn, f, grading):
     try:
         return json.dumps(fn(f, grading), sort_keys=True)
@@ -264,20 +241,38 @@ class TestSparseAgainstDense:
 # -- verdicts from start row 1 on transitive gradings ---------------------------
 
 
+KLEIN = TableGroup(*klein_table())
+S3 = TableGroup(*permutation_group_table(3))
+
+
+def _a3():
+    """The alternating group on three points as its own Cayley table: the
+    identity and the two 3-cycles of S3, re-indexed."""
+    names, table = permutation_group_table(3)
+    even = [names.index(p) for p in ("012", "120", "201")]
+    return TableGroup([names[g] for g in even], [[even.index(table[a][b]) for b in even] for a in even])
+
+
+#: the one grading of ``transitive_kinds`` that is not transitive
+NOT_A_COSET = "klein (e,a,b)"
+
+
 @pytest.fixture(scope="module")
 def transitive_kinds():
     """Gradings whose row grades are a coset of a subgroup, so that start row
     1 decides every verdict, with the rows in an order other than the
-    subgroup's; Klein (e, a, b) is not a coset and keeps the whole matrix."""
-    s3 = TableGroup(*permutation_group_table(3))
-    klein = _klein_grading().structure
+    subgroup's, and whole groups (Klein, A3) whose relabellings need two
+    generators or one; Klein (e, a, b) is not a coset and keeps the whole
+    matrix."""
     return {
         "zn:5 permuted": (ElementaryGrading(CyclicGroup(5), (3, 0, 4, 1, 2)), list(range(5))),
         "zp:7": (parse_grading_spec("zp:7"), list(range(7))),
-        "S3 A3": (ElementaryGrading(s3, (3, 0, 4)), list(range(6))),
-        "S3 odd coset": (ElementaryGrading(s3, (5, 1, 2)), list(range(6))),
-        "klein (e,a)": (ElementaryGrading(klein, (0, 1)), list(range(4))),
-        "klein (e,a,b)": (ElementaryGrading(klein, (0, 1, 2)), list(range(4))),
+        "S3 A3": (ElementaryGrading(S3, (3, 0, 4)), list(range(6))),
+        "S3 odd coset": (ElementaryGrading(S3, (5, 1, 2)), list(range(6))),
+        "A3": (ElementaryGrading(_a3(), (0, 1, 2)), list(range(3))),
+        "klein (e,a)": (ElementaryGrading(KLEIN, (0, 1)), list(range(4))),
+        "klein (e,a,b)": (ElementaryGrading(KLEIN, (0, 1, 2)), list(range(4))),
+        "klein (e,a,b,c)": (ElementaryGrading(KLEIN, (0, 1, 2, 3)), list(range(4))),
     }
 
 
@@ -302,13 +297,28 @@ class TestRowOneAgainstDense:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_verdicts_match(self, transitive_kinds, data):
-        grading, grades = transitive_kinds[data.draw(st.sampled_from(sorted(transitive_kinds)))]
+        name = data.draw(st.sampled_from(sorted(transitive_kinds)))
+        grading, grades = transitive_kinds[name]
+        assert grading._transitive is (name != NOT_A_COSET)
+        n = grading.n
         # closed words only, half of the time: the evaluation is then
         # diagonal, and centrality compares every relabelled (1, 1) entry
         closed = data.draw(st.booleans())
         coeffs = st.sampled_from([1, -1, 2, -2])
         terms: Dict[Monomial, int] = {}
-        for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
+        if data.draw(st.booleans()):
+            # the rotations of a closed walk through distinct letters: every
+            # row walk is closed, and on a full cycle of the rows (a
+            # symmetrization) the (1, 1) entry is kept by every relabelling,
+            # unless a rotation is dropped
+            rows = data.draw(st.permutations(range(1, n + 1)))[: data.draw(st.integers(1, min(n, 6)))]
+            rows = [*rows, rows[0]]
+            letters = [Var(grading.unit_degree(a, b), c) for c, (a, b) in enumerate(zip(rows, rows[1:]), 1)]
+            for s in range(len(letters)):
+                terms[Monomial(letters[s:] + letters[:s])] = 1
+            if data.draw(st.booleans()):
+                del terms[Monomial(letters)]
+        for _ in range(data.draw(st.integers(min_value=0 if terms else 1, max_value=5))):
             if closed or data.draw(st.booleans()):
                 rows = data.draw(
                     st.lists(st.integers(min_value=1, max_value=grading.n), min_size=1, max_size=6)
@@ -323,6 +333,28 @@ class TestRowOneAgainstDense:
             terms[Monomial()] = data.draw(coeffs)
         f = Polynomial(terms)
         assert _verdict_bytes(f, grading) == _reference_verdict_bytes(f, grading)
+
+    def test_two_generator_relabelling(self, transitive_kinds):
+        # Klein on all four rows needs two relabellings to reach every row;
+        # x y + y x of degree a keeps (1, 1) under pi_2 and moves it under pi_3
+        grading, _ = transitive_kinds["klein (e,a,b,c)"]
+        f = Polynomial({Monomial([Var(1, 1), Var(1, 2)]): 1, Monomial([Var(1, 2), Var(1, 1)]): 1})
+        assert _verdict_bytes(f, grading) == _reference_verdict_bytes(f, grading)
+        witness = centrality_witness(f, grading)
+        assert (witness["kind"], witness["position"]) == ("diag_mismatch", [3, 3])
+
+    def test_symmetrizations_on_zn64(self):
+        grading = parse_grading_spec("zn:64")
+        letters = [Var(1, l) for l in range(1, 65)]
+        central = cyclic_symmetrization(letters, grading)
+        assert centrality_witness(central, grading) == {"kind": "verified"}
+        # one rotation dropped: every relabelled entry but the identity's moves
+        rotation = next(iter(central.terms))
+        broken = Polynomial({m: c for m, c in central.terms.items() if m != rotation})
+        assert _witness_bytes(centrality_witness, broken, grading) == _witness_bytes(
+            reference_centrality_witness, broken, grading
+        )
+        assert centrality_witness(broken, grading)["position"] == [2, 2]
 
 
 def _raise(*args):
@@ -354,6 +386,6 @@ def test_transitive_verdicts_never_evaluate_the_whole_matrix(monkeypatch):
         assert _verdict_bytes(f, grading) == _reference_verdict_bytes(f, grading)
     assert json.loads(_verdict_bytes(central, grading)[2]) == {"kind": "verified"}
     # a tuple that is not a coset still reads the whole matrix
-    klein = ElementaryGrading(_klein_grading().structure, (0, 1, 2))
+    klein = ElementaryGrading(KLEIN, (0, 1, 2))
     with pytest.raises(AssertionError, match="whole matrix"):
         is_identity(Polynomial.from_monomial(Monomial([Var(1, 1)])), klein)

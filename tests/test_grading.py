@@ -292,8 +292,8 @@ class TestSpecStrings:
         with pytest.raises(GradingError):
             parse_grading_spec("zp:4")
 
-    def test_group_file(self, cayley_file):
-        grading = parse_grading_spec(f"group:{cayley_file}:e,a,b")
+    def test_group_file(self, klein_file):
+        grading = parse_grading_spec(f"group:{klein_file}:e,a,b")
         assert grading.n == 3
         st = grading.structure
         assert st.order == 4
@@ -302,9 +302,9 @@ class TestSpecStrings:
             assert st.inverse(g) == g
         assert grading.unit_degree(2, 3) == st.mul(st.inverse(1), 2)
 
-    def test_group_file_errors(self, cayley_file):
+    def test_group_file_errors(self, klein_file):
         with pytest.raises(GradingError):
-            parse_grading_spec(f"group:{cayley_file}:e,q")
+            parse_grading_spec(f"group:{klein_file}:e,q")
         with pytest.raises(GradingError):
             parse_grading_spec("group:/nonexistent/file:e,a")
 

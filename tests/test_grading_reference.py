@@ -8,20 +8,15 @@ an elementary grading that branched on it for the unit degrees and row maps,
 a rewrite step that wrote each rule's precondition once per kind, and a
 classification with a separate support-closure pass for the positional kind.
 ``_support_closed`` is the support-closure test that followed them, kept
-verbatim: it multiplies out the running product of every subword.
-``RowStep``, ``RowWalk``, ``reference_walk_from`` and the reference
-grading's ``degree_rows`` and ``row_walk`` are the row-walk API that
-followed, also verbatim apart from their names: every start row's full path
-and each grade's rows, where the library now keeps only the surviving start
-rows and the row maps.  The current code must agree with them on every
-grading kind.
+verbatim: it multiplies out the running product of every subword.  The
+current code must agree with them on every grading kind.  The library's
+walks over row maps, ``row_walk`` and ``_walk_from``, are compared with
+``oracles.unit_walks``, which reads the unit degrees instead.
 """
 
 import itertools
 import random
-from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -57,7 +52,7 @@ from gradedpi.rewrite import (
     apply_rule,
 )
 
-from conftest import KLEIN_TABLE, permutation_group_table
+from conftest import klein_table, permutation_group_table
 
 _GROUP_RULES = {SWAP_NEUTRAL, REVERSE_CONJUGATE, KILL_EMPTY_SUPPORT}
 _MU_RULES = {MU_SWAP, MU_REVERSE, MU_KILL}
@@ -278,48 +273,6 @@ def reference_group_from_table(names: Sequence[str], table: Sequence[Sequence[in
     return ReferenceStructure(FINITE_GROUP, names=names, table=table)
 
 
-@dataclass(frozen=True)
-class RowStep:
-    """Rows where a homogeneous element of one degree can start.
-
-    ``rows`` lists every row k that admits a matrix unit of the requested
-    degree; ``target[k]`` is the unique column (equivalently, the next row in
-    a product walk) forced by that degree.  ``target`` is a read-only view
-    of the row map the grading caches and shares with every walk.
-    """
-
-    rows: Tuple[int, ...]
-    target: Mapping[int, int]
-
-
-@dataclass(frozen=True)
-class RowWalk:
-    """Row data for a sequence of degrees multiplied left to right.
-
-    ``paths[k]`` has length m+1 for a degree sequence of length m: it starts
-    at k and records every intermediate row.  A row k is listed iff the whole
-    walk stays defined; an empty ``rows`` means the corresponding monomial
-    shape evaluates to zero on generic matrices.
-    """
-
-    rows: Tuple[int, ...]
-    paths: Dict[int, Tuple[int, ...]]
-
-
-def reference_walk_from(targets: Dict[Grade, Mapping[int, int]], hs: Sequence[Grade], start: int) -> Optional[list]:
-    """Rows visited from ``start`` by a left-to-right sequence of degrees, or
-    None when the walk dies; ``targets[h]`` is the row map of grade h."""
-    path = [start]
-    append = path.append
-    cur = start
-    for h in hs:
-        cur = targets[h].get(cur)
-        if cur is None:
-            return None
-        append(cur)
-    return path
-
-
 class ReferenceGrading:
     """Grading of the n-by-n matrix algebra induced by distinct row grades.
 
@@ -380,11 +333,6 @@ class ReferenceGrading:
     def neutral(self) -> Optional[Grade]:
         return self.structure.identity if self.structure.has_identity else None
 
-    def degree_rows(self, h: Grade) -> RowStep:
-        """Rows admitting a unit of degree h, with the forced column per row."""
-        target = self._target(h)
-        return RowStep(tuple(target), MappingProxyType(target))
-
     def _target(self, h: Grade) -> Dict[int, int]:
         """The row map of degree h: row k to the column its unit of degree h
         forces.  Computed once per grade and cached on this grading; hot
@@ -405,21 +353,6 @@ class ReferenceGrading:
                     target[k] = j
         self._targets[h] = target
         return target
-
-    def row_walk(self, hs: Sequence[Grade]) -> RowWalk:
-        """Surviving row walks for a left-to-right sequence of degrees."""
-        targets = {}
-        for h in hs:
-            if h not in targets:
-                targets[h] = self._target(h)
-        rows = []
-        paths: Dict[int, Tuple[int, ...]] = {}
-        for k in range(1, self.n + 1):
-            path = reference_walk_from(targets, hs, k)
-            if path is not None:
-                rows.append(k)
-                paths[k] = tuple(path)
-        return RowWalk(tuple(rows), paths)
 
 
 # -- rewrite rules ------------------------------------------------------------
@@ -502,7 +435,7 @@ def reference_apply_rule(m: Monomial, rule: str, window: Tuple[int, ...], gradin
         raise RuleError(f"bad kill window {window} for length {l}")
     grade = m.vars[p - 1].grade
     if rule == KILL_EMPTY_SUPPORT:
-        if grading.degree_rows(grade).rows:
+        if grading._target(grade):
             raise RuleError("kill-empty-support needs a degree with no admissible row")
     else:
         if grade != MU_ZERO:
@@ -608,17 +541,11 @@ def reference_classify(m: Monomial, grading: ElementaryGrading) -> MonomialClass
 # -- the differential properties ------------------------------------------------
 
 
-def _klein_table():
-    names, *rows = [line.split() for line in KLEIN_TABLE.splitlines()]
-    index = {name: i for i, name in enumerate(names)}
-    return names, [[index[x] for x in row] for row in rows]
-
-
 def _grading_pairs():
     """(reference grading, current grading, grade pool) per grading kind; the
     pool of z:3 reaches past its support on both sides."""
     s3_names, s3_table = permutation_group_table(3)
-    k_names, k_table = _klein_table()
+    k_names, k_table = klein_table()
     built = {
         "zn:3": (reference_cyclic_group(3), CyclicGroup(3), (1, 2, 0)),
         "zn:5": (reference_cyclic_group(5), CyclicGroup(5), (1, 2, 3, 4, 0)),
@@ -686,11 +613,9 @@ def test_grading_data_matches_reference(name):
     for i, j in itertools.product(range(0, new.n + 2), repeat=2):
         assert _outcome(new.unit_degree, i, j) == _outcome(old.unit_degree, i, j), (i, j)
     for h in pool + JUNK:
-        got = _outcome(lambda: dict(new._target(h)))
-        want = _outcome(lambda: dict(old.degree_rows(h).target))
-        assert got == want, h
-        if got[0] == "value":
-            assert tuple(new._target(h)) == old.degree_rows(h).rows
+        # equal in values and in key order: start rows iterate the map
+        got = _outcome(lambda: list(new._target(h).items()))
+        assert got == _outcome(lambda: list(old._target(h).items())), h
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -728,23 +653,23 @@ WALK_CASES = _walk_cases()
 def test_row_walks_match_the_reference_row_walk(data):
     old, new, pool = WALK_CASES[data.draw(st.sampled_from(sorted(WALK_CASES)))]
     hs = data.draw(st.lists(st.sampled_from(pool), max_size=6))
-    want = old.row_walk(hs)
-    assert new.row_walk(hs) == want.rows
-    assert unit_walks(new, hs) == want.paths
+    want = unit_walks(new, hs)
+    assert new.row_walk(hs) == tuple(want)
     targets = {h: new._target(h) for h in hs}
     walks = {k: _walk_from(targets, hs, k) for k in range(1, new.n + 1)}
-    assert {k: tuple(path) for k, path in walks.items() if path is not None} == want.paths
+    assert {k: tuple(path) for k, path in walks.items() if path is not None} == want
     for h in pool + JUNK:
         got = _outcome(lambda: bool(new._target(h)))
-        assert got == _outcome(lambda: bool(old.degree_rows(h).rows)), h
-    # a letter outside the structure is refused with the same text;
-    # some junk values are grades of this kind
-    bad = hs + [data.draw(st.sampled_from(JUNK))]
-    want = _outcome(old.row_walk, bad)
-    if want[0] == "value":
-        assert new.row_walk(bad) == want[1].rows and unit_walks(new, bad) == want[1].paths
+        assert got == _outcome(lambda: bool(old._target(h))), h
+    # a letter outside the structure is refused with the reference
+    # structure's text; some junk values are grades of this kind
+    junk = data.draw(st.sampled_from(JUNK))
+    bad = hs + [junk]
+    refusal = _outcome(old.structure.require, junk)
+    if refusal[0] == "value":
+        assert new.row_walk(bad) == tuple(unit_walks(new, bad))
     else:
-        assert _outcome(new.row_walk, bad) == _outcome(unit_walks, new, bad) == want
+        assert _outcome(new.row_walk, bad) == _outcome(unit_walks, new, bad) == refusal
 
 
 def _words(data, old, pool, max_size):
@@ -858,7 +783,7 @@ def reference_describe(grading: ElementaryGrading) -> str:
 def _support_cases():
     """(name, grading, transitive): spec gradings, hand-built tuples, and the
     group tuples that are and are not cosets of a subgroup."""
-    s3, klein = TableGroup(*permutation_group_table(3)), TableGroup(*_klein_table())
+    s3, klein = TableGroup(*permutation_group_table(3)), TableGroup(*klein_table())
     cases = [(f"zn:{n}", parse_grading_spec(f"zn:{n}"), True) for n in (*range(1, 10), 128)]
     cases += [(f"z:{n}", parse_grading_spec(f"z:{n}"), False) for n in range(1, 10)]
     cases += [(f"mu:{n}", parse_grading_spec(f"mu:{n}"), False) for n in range(1, 6)]

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KLEIN_TABLE, permutation_group_table
+from conftest import klein_table, permutation_group_table
 from gradedpi import freealg
 from gradedpi.cli import main
 from gradedpi.freealg import (
@@ -191,13 +191,6 @@ class ReferenceParser:
         return Polynomial(terms)
 
 
-def _klein():
-    names, *rows = [line.split() for line in KLEIN_TABLE.splitlines()]
-    index = {name: i for i, name in enumerate(names)}
-    table = [[index[name] for name in row] for row in rows]
-    return ElementaryGrading(TableGroup(names, table), (0, 1, 2))
-
-
 def _s3():
     names, table = permutation_group_table(3)
     return ElementaryGrading(TableGroup(names, table), (0, 1, 3))
@@ -208,7 +201,7 @@ GRADINGS = {
     "z:3": parse_grading_spec("z:3"),
     "mu:3": parse_grading_spec("mu:3"),
     "S3": _s3(),
-    "Klein": _klein(),
+    "Klein": ElementaryGrading(TableGroup(*klein_table()), (0, 1, 2)),
 }
 
 #: whitespace the grammar allows between tokens, including characters only
