@@ -30,9 +30,68 @@ class UsageError(Exception):
     pass
 
 
+def _json_text(value) -> str:
+    """The text of ``json.dumps(value, ensure_ascii=False, indent=2,
+    sort_keys=True)``, for the types reports hold, without the pure-Python
+    encoder that ``indent`` selects.  Raises TypeError where ``json.dumps``
+    does; a report holds no cycles, which ``json.dumps`` would refuse."""
+    out: List[str] = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: List[str]) -> None:
+    """Append the indented JSON text of ``value`` to ``out``; ``newline``
+    is the line break and indent of the value's own level."""
+    encode = json.encoder.encode_basestring
+    if isinstance(value, str):
+        out.append(encode(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        # sorted before any key is converted, as json.dumps does
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                if key is not None and not isinstance(key, (int, float)):
+                    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+                key = json.dumps(key)
+            out.append(sep + encode(key) + ": ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(item) is int for item in value):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        # floats, and the TypeError of a type JSON cannot hold
+        out.append(json.dumps(value))
+
+
 def _emit(payload: dict, fmt: str, text_lines: List[str]):
     if fmt == "json":
-        print(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True))
+        print(_json_text(payload))
     else:
         for line in text_lines:
             print(line)

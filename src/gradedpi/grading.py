@@ -336,6 +336,21 @@ class MatrixUnitSemigroup(GradingStructure):
             return MU_ZERO
         return (a[0], b[1]) if a[1] == b[0] else MU_ZERO
 
+    def product(self, grades: Iterable[Grade]) -> Grade:
+        """Ordered product in one pass: positions multiply to (first row,
+        last column) when each column is the next position's row, and to
+        ``MU_ZERO`` when the chain breaks.  Rows and columns start at 1, so
+        ``MU_ZERO`` = (0, 0) chains only with itself, and a zero letter
+        makes the product zero."""
+        hs = iter(grades)
+        for row, col in hs:
+            for i, j in hs:
+                if i != col:
+                    return MU_ZERO
+                col = j
+            return (row, col)
+        return super().product(())
+
     def inverse(self, g: Grade) -> Grade:
         raise GradingError("the matrix-position semigroup has no inverses")
 

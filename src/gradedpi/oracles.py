@@ -53,14 +53,23 @@ def matrix_product(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(a.n, {pos: SparsePoly(cell) for pos, cell in out.items()})
 
 
-def _units(grading: ElementaryGrading, grades: Sequence[Grade]) -> List[List[Position]]:
-    """The unit positions of each grade, row-major, from one scan of the n^2
-    unit degrees; a grade outside the structure is refused."""
+def _units(grading: ElementaryGrading, grades: Sequence[Grade], build=list) -> list:
+    """``build`` of the unit positions of each grade, row-major, from one
+    scan of the n^2 unit degrees; a grade outside the structure is refused.
+
+    Each distinct grade is checked and built once, and its letters share
+    the result.  Grades are told apart by type and text: a dict keyed by
+    the grade alone would merge 1, 1.0 and True, which ``require`` does not.
+    """
     by_degree: Dict[Grade, List[Position]] = {}
     unit_degree, rows = grading.structure.unit_degree, grading.row_grades
     for i, j in itertools.product(range(1, grading.n + 1), repeat=2):
         by_degree.setdefault(unit_degree(rows, i, j), []).append((i, j))
-    return [by_degree.get(grading.structure.require(h), []) for h in grades]
+    require = grading.structure.require
+    keys = [(type(h), repr(h)) for h in grades]
+    # in order of first occurrence, so the first refused grade is reported
+    built = {key: build(by_degree.get(require(h), ())) for key, h in dict(zip(keys, grades)).items()}
+    return [built[key] for key in keys]
 
 
 def make_generic(grading: ElementaryGrading, h: Grade, i: int) -> PolyMatrix:
@@ -84,7 +93,7 @@ def unit_walks(grading: ElementaryGrading, hs: Sequence[Grade]) -> Dict[int, Tup
     """Start row to the rows visited by a left-to-right sequence of degrees,
     for each start row whose walk survives: every step follows the unit of
     the letter's degree in the current row, at most one per row."""
-    steps = [dict(units) for units in _units(grading, hs)]
+    steps = _units(grading, hs, dict)
     walks = {}
     for k in range(1, grading.n + 1):
         path = [k]

@@ -121,20 +121,20 @@ def replay(proof: CongruenceProof, grading: ElementaryGrading) -> Monomial:
     return cur
 
 
-def _rearrangement_steps(grading, base, k1, k2, k3, cur):
+def _rearrangement_steps(grading, base, k1, k2, k3, grades):
     """Steps that bring the block [k2..k3] (suffix-relative) to the front.
 
     The three suffix blocks A = [1..k1-1], B = [k1..k2-1], C = [k2..k3] satisfy
     deg(A) = deg(C) with deg(B) its transpose.  When A is empty or of diagonal
     degree every block is, and adjacent swaps suffice; otherwise one reversal
-    does it.
+    does it.  ``grades`` holds the current word's grades.
     """
     swap_rule, rev_rule, _ = _rule_names(grading)
     la, lb, lc = k1 - 1, k2 - k1, k3 - k2 + 1
     off = base
     if la == 0:
         return [Step(swap_rule, (off + 1, off + lb, off + lb + lc))]
-    deg_a = grading.structure.product(v.grade for v in cur.vars[off : off + la])
+    deg_a = grading.structure.product(grades[off : off + la])
     if grading.structure.is_diagonal(deg_a):
         return [
             Step(swap_rule, (off + la + 1, off + la + lb, off + la + lb + lc)),
@@ -144,6 +144,34 @@ def _rearrangement_steps(grading, base, k1, k2, k3, cur):
     return [
         Step(rev_rule, (off + 1, off + la, off + la + lb, off + la + lb + lc))
     ]
+
+
+def _move_blocks(grading, step: Step, word: list, grades: list) -> None:
+    """Apply a swap or reversal of the search in place, to the word and its
+    grades, after checking its precondition on the moved blocks' degrees.
+
+    Only the letters in the window are rewritten: a swap's blocks A B become
+    B A, a reversal's A B C become C B A.  The search's windows are in
+    range, so only the degrees are checked; a failure is a fault of the
+    search and raises RuntimeError.
+    """
+    st = grading.structure
+    if step.rule == _rule_names(grading)[0]:
+        p, q, r = step.window
+        holds = st.is_diagonal(st.product(grades[p - 1 : q])) and st.is_diagonal(st.product(grades[q:r]))
+        order = ((q, r), (p - 1, q))
+    else:
+        p, q, r, s = step.window
+        da, db, dc = st.product(grades[p - 1 : q]), st.product(grades[q:r]), st.product(grades[r:s])
+        holds = da == dc and not st.is_diagonal(da) and db == st.transpose(da)
+        order = ((r, s), (q, r), (p - 1, q))
+    if not holds:
+        raise RuntimeError(f"{step.rule} at {step.window} breaks its precondition")
+    for letters in (word, grades):
+        moved = []
+        for lo, hi in order:
+            moved += letters[lo:hi]
+        letters[p - 1 : order[0][1]] = moved
 
 
 def find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Optional[CongruenceProof]:
@@ -175,6 +203,14 @@ def find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Opt
     differ by a left multiplication of the row grades, a bijection applied
     to both paths alike, so the pairing by (variable, row) is the same; on
     ``mu:`` the first letter fixes the start row.
+
+    The word is kept as one list of letters and one of their grades, and a
+    step rewrites only the letters in its window, in place, after checking
+    its precondition on the moved blocks' degrees, each a product of a
+    slice of the grades.  So a rearrangement costs O(k3), not a copy of the
+    whole word; the monomial is built once, for the final check.  The proof
+    is not replayed here: ``replay`` and ``apply_rule`` check it
+    independently.
     """
     if Counter(m.vars) != Counter(n.vars):
         raise RuleError("congruence needs monomials with the same variable multiset")
@@ -184,8 +220,10 @@ def find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Opt
     if hit is None:
         return None
     r = len(m)
-    targets = {g: grading._target(g) for g in {v.grade for v in m.vars}}
-    src_rows = _walk_from(targets, [v.grade for v in m.vars], hit[0])
+    word = list(m.vars)
+    grades = [v.grade for v in word]
+    targets = {g: grading._target(g) for g in set(grades)}
+    src_rows = _walk_from(targets, grades, hit[0])
     dst_rows = _walk_from(targets, [v.grade for v in n.vars], hit[0])
     # pair source with target positions by (variable, row), first in first
     # out; a (variable, row) pair is numbered by its first target position
@@ -204,14 +242,13 @@ def find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Opt
         at[d] = s
         to[s] = d
     steps: List[Step] = []
-    cur = m
     base = 0
     guard = 0
     while base < r:
         guard += 1
         if guard > 6 * r + 6:
             raise RuntimeError("congruence construction failed to converge")
-        if cur.vars[base] == n.vars[base]:
+        if word[base] == n.vars[base]:
             base += 1
             continue
         # least target position after base whose source sits before the
@@ -223,10 +260,10 @@ def find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Opt
         if d == r or not (at[d] < front <= at[d - 1]):
             raise RuntimeError("misordered rearrangement windows")
         k1, k2, k3 = at[d] - base + 1, front - base + 1, at[d - 1] - base + 1
-        for step in _rearrangement_steps(grading, base, k1, k2, k3, cur):
-            cur = apply_rule(cur, step.rule, step.window, grading)
+        for step in _rearrangement_steps(grading, base, k1, k2, k3, grades):
+            _move_blocks(grading, step, word, grades)
             steps.append(step)
-        if cur.vars[base] != n.vars[base]:
+        if word[base] != n.vars[base]:
             raise RuntimeError("rearrangement did not surface the target variable")
         # the suffix blocks A B C became C B A, each letter keeping its key;
         # per key the moved letters take back, in their new order, the
@@ -238,7 +275,7 @@ def find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Opt
         for i, d in zip(sorted(range(k3), key=new.__getitem__), held):
             at[d] = base + i
             to[base + i] = d
-    if cur != n:
+    if Monomial(word) != n:
         raise RuntimeError("congruence construction ended on the wrong monomial")
     return CongruenceProof(m, n, tuple(steps))
 

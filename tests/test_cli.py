@@ -9,6 +9,7 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from conftest import KLEIN_TABLE
 from gradedpi import (
@@ -26,6 +27,7 @@ from gradedpi import (
 import gradedpi
 from gradedpi import cli, suites
 from gradedpi.cli import main
+from gradedpi.rewrite import proof_from_json, replay
 from gradedpi.suites import SUITES
 
 
@@ -148,6 +150,10 @@ class TestCongruence:
         step = payload["proof"]["steps"][0]
         assert step["rule"] == "reverse-conjugate"
         assert step["window"] == [1, 1, 2, 3]
+        # the printed proof replays, through apply_rule, to the printed end
+        grading = parse_grading_spec("zn:3")
+        proof = proof_from_json(payload["proof"], grading)
+        assert replay(proof, grading) == parse_monomial(payload["proof"]["end"], grading)
 
     def test_not_congruent(self, capsys):
         code, out, _ = run(
@@ -166,6 +172,81 @@ class TestCongruence:
         )
         assert code == 2
         assert "two" in err
+
+
+def _json_outcome(write, value):
+    """The text written, or the type of the exception raised."""
+    try:
+        return write(value)
+    except Exception as exc:
+        return type(exc)
+
+
+def _json_dumps(value):
+    return json.dumps(value, ensure_ascii=False, indent=2, sort_keys=True)
+
+
+#: strings with non-ASCII and control characters and lone surrogates
+_json_strings = strategies.text(strategies.characters(blacklist_categories=()), max_size=6)
+_json_keys = strategies.one_of(_json_strings, strategies.integers(), strategies.booleans(), strategies.none())
+_json_scalars = strategies.one_of(
+    strategies.none(),
+    strategies.booleans(),
+    strategies.integers(),
+    strategies.floats(),
+    _json_strings,
+    strategies.sets(strategies.integers(), max_size=1),  # JSON has no sets
+)
+_json_values = strategies.recursive(
+    _json_scalars,
+    lambda inner: strategies.one_of(
+        strategies.lists(inner, max_size=4),
+        strategies.lists(inner, max_size=4).map(tuple),
+        strategies.dictionaries(_json_keys, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonText:
+    """``cli._json_text`` writes what ``json.dumps`` with the report options
+    writes, or raises the same type of exception."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(value=_json_values)
+    def test_matches_json_dumps(self, value):
+        assert _json_outcome(cli._json_text, value) == _json_outcome(_json_dumps, value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            (),
+            {"a": {}, "b": [], "c": [[], {}, ()]},
+            [[[]], {"x": [{}]}],
+            # unsorted keys at every depth
+            {"b": {"d": 1, "c": [{"f": 2, "e": 3}]}, "a": 0},
+            {2: "two", 10: "ten", -1.5: None, True: [1, True, 1.0]},
+            {"k": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300]},
+            {None: "\ud800\x00\x1f\"\\é😀"},
+            [0, 1, -1, 10**30, True, False, None],
+        ],
+        ids=repr,
+    )
+    def test_pinned_values(self, value):
+        assert cli._json_text(value) == _json_dumps(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [{1: "int", "1": "str"}, {None: 1, "a": 2}, {(1, 2): 3}, [b"bytes"], {"a": {object()}}],
+        ids=repr,
+    )
+    def test_refuses_what_json_dumps_refuses(self, value):
+        with pytest.raises(TypeError):
+            _json_dumps(value)
+        with pytest.raises(TypeError):
+            cli._json_text(value)
 
 
 class TestEnumerate:

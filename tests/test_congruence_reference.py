@@ -6,7 +6,11 @@ of the row walks: before every strip or rearrangement it walked all start
 rows of both suffixes and aligned the suffixes through the least matching
 row.  Those walks now come from ``oracles.unit_walks``, which reads the unit
 degrees, where the earlier code read the library's ``row_walk`` paths.
-The current construction pairs the whole words once and re-pairs only the
+``_reference_rearrangement_steps`` is a verbatim copy of the step builder
+from before the search rewrote its word in place: it reads deg(A) from the
+current monomial, and the reference applies its steps through
+``apply_rule``, so it shares no step code with the in-place search.  The
+current construction pairs the whole words once and re-pairs only the
 letters a rearrangement moves; it must produce the same proof, step for
 step.
 """
@@ -28,7 +32,7 @@ from gradedpi.rewrite import (
     CongruenceProof,
     RuleError,
     Step,
-    _rearrangement_steps,
+    _rule_names,
     apply_rule,
     find_congruence,
     replay,
@@ -55,6 +59,31 @@ def _reference_matched_walks(src: Monomial, dst: Monomial, grading: ElementaryGr
         if left == right:
             return k, p1, p2
     return None
+
+
+def _reference_rearrangement_steps(grading, base, k1, k2, k3, cur):
+    """Steps that bring the block [k2..k3] (suffix-relative) to the front.
+
+    The three suffix blocks A = [1..k1-1], B = [k1..k2-1], C = [k2..k3] satisfy
+    deg(A) = deg(C) with deg(B) its transpose.  When A is empty or of diagonal
+    degree every block is, and adjacent swaps suffice; otherwise one reversal
+    does it.
+    """
+    swap_rule, rev_rule, _ = _rule_names(grading)
+    la, lb, lc = k1 - 1, k2 - k1, k3 - k2 + 1
+    off = base
+    if la == 0:
+        return [Step(swap_rule, (off + 1, off + lb, off + lb + lc))]
+    deg_a = grading.structure.product(v.grade for v in cur.vars[off : off + la])
+    if grading.structure.is_diagonal(deg_a):
+        return [
+            Step(swap_rule, (off + la + 1, off + la + lb, off + la + lb + lc)),
+            Step(swap_rule, (off + 1, off + la, off + la + lc)),
+            Step(swap_rule, (off + lc + 1, off + lc + la, off + lc + la + lb)),
+        ]
+    return [
+        Step(rev_rule, (off + 1, off + la, off + la + lb, off + la + lb + lc))
+    ]
 
 
 def reference_find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Optional[CongruenceProof]:
@@ -100,7 +129,7 @@ def reference_find_congruence(m: Monomial, n: Monomial, grading: ElementaryGradi
         k1, k2, k3 = pos[t + 1], pos[1], pos[t]
         if not (k1 < k2 <= k3):
             raise RuntimeError("misordered rearrangement windows")
-        for step in _rearrangement_steps(grading, base, k1, k2, k3, cur):
+        for step in _reference_rearrangement_steps(grading, base, k1, k2, k3, cur):
             cur = apply_rule(cur, step.rule, step.window, grading)
             steps.append(step)
         if cur.vars[base] != n.vars[base]:
@@ -357,6 +386,34 @@ def test_relabelled_source_rows_are_caught(gradings, monkeypatch):
     monkeypatch.setattr(rewrite, "_walk_from", relabelled)
     with pytest.raises(RuntimeError, match="inconsistent alignment despite matching entries"):
         find_congruence(m, n, grading)
+
+
+@pytest.mark.parametrize("name", ["zn:5", "mu:3", "klein"])
+def test_a_reversal_breaking_its_precondition_is_caught(gradings, name, monkeypatch):
+    # a step builder whose reversal window stretches block C until deg(C)
+    # differs from deg(A): the search moves letters in place without
+    # apply_rule, so its own check of each step's blocks must refuse,
+    # instead of returning a proof that does not replay
+    grading = gradings[name]
+    m, n = congruent_pair(grading, 96, random.Random(f"broken-reversal:{name}"))
+    real = rewrite._rearrangement_steps
+    broken = []
+
+    def stretched(grading, base, k1, k2, k3, grades):
+        steps = real(grading, base, k1, k2, k3, grades)
+        if len(steps) == 1 and len(steps[0].window) == 4:
+            p, q, r, s = steps[0].window
+            deg_a = grading.structure.product(grades[p - 1 : q])
+            for end in range(s + 1, len(grades) + 1):
+                if grading.structure.product(grades[r:end]) != deg_a:
+                    broken.append(end)
+                    return [Step(steps[0].rule, (p, q, r, end))]
+        return steps
+
+    monkeypatch.setattr(rewrite, "_rearrangement_steps", stretched)
+    with pytest.raises(RuntimeError, match="breaks its precondition"):
+        find_congruence(m, n, grading)
+    assert len(broken) == 1
 
 
 def test_one_shared_entry_search_per_call(gradings, monkeypatch):

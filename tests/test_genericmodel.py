@@ -35,6 +35,7 @@ from gradedpi.oracles import (
     matrix_unit_oracle,
     naive_monomial_product,
     poly_product,
+    unit_walks,
     units_of_degree,
 )
 from gradedpi.suites import battery_fast_product
@@ -238,6 +239,18 @@ class TestMatrixUnitOracle:
             units_of_degree(MU2, 1)
         with pytest.raises(GradingError):
             make_generic(ZN3, 3, 1)
+
+    def test_unit_walks_check_each_grade_of_a_word(self):
+        # grades are looked up once per distinct grade, but 1.0 and (1.0, 2)
+        # equal a grade already seen and must still be refused, while True
+        # is an int that require accepts
+        for grading, good, bad in ((ZN3, 1, 1.0), (Z2, 1, 1.0), (MU2, (1, 2), (1.0, 2))):
+            for hs in ([good, bad], [bad, good], [good, good, bad]):
+                with pytest.raises(GradingError, match="is not a grade of this structure"):
+                    unit_walks(grading, hs)
+        assert unit_walks(ZN3, [1, True, 1]) == unit_walks(ZN3, [1, 1, 1]) == {1: (1, 2, 3, 1), 2: (2, 3, 1, 2), 3: (3, 1, 2, 3)}
+        assert unit_walks(MU2, [(1, 2), (True, 2)]) == {}
+        assert unit_walks(MU2, [(1, 2), (2, 1), (1, 2)]) == {1: (1, 2, 1, 2)}
 
     def test_oracles_do_not_read_the_row_maps(self, monkeypatch):
         # a wrong closed-form row map on zn:3 (grade 1 sends row 1 to 3 and

@@ -35,13 +35,15 @@ their paths are replaced by ``<S3>`` and ``<S4>`` before hashing.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
 
 from gradedpi.cli import main
-from gradedpi.freealg import format_monomial
+from gradedpi.freealg import format_monomial, parse_monomial
 from gradedpi.grading import parse_grading_spec
+from gradedpi.rewrite import proof_from_json, replay
 from conftest import permutation_group_table
 from test_congruence_reference import congruent_pair
 
@@ -166,6 +168,22 @@ def test_output_digest(case, fmt, capsys, klein_file):
     out = capsys.readouterr().out.replace(klein_file, "<klein>")
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()[:16]
     assert digest == GOLDEN[case, fmt]
+
+
+@pytest.mark.parametrize(
+    "case", sorted({case for case, _ in GOLDEN if case.startswith("congruence") and case not in POLYS})
+)
+def test_congruence_proof_replays(case, capsys, klein_file):
+    # the pinned proofs, parsed back from the printed report, replay through
+    # apply_rule to the printed end: an independent check of the search
+    argv = _argv(case, "json", f"group:{klein_file}:e,a,b")
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    grading = parse_grading_spec(argv[2])
+    proof = proof_from_json(report["proof"], grading)
+    assert proof.steps
+    assert format_monomial(proof.start, grading) == argv[4]
+    assert replay(proof, grading) == parse_monomial(argv[6], grading) == proof.end
 
 
 @pytest.mark.parametrize("poly", sorted(MALFORMED))

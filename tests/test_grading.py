@@ -6,6 +6,7 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from conftest import KLEIN_TABLE, permutation_group_table
 from gradedpi.grading import (
@@ -84,6 +85,41 @@ class TestStructures:
         for empty in ((), [], iter(())):
             with pytest.raises(GradingError, match=r"^empty product is undefined without an identity$"):
                 st.product(empty)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=strategies.data())
+    def test_matrix_unit_product_matches_the_reduction(self, data):
+        # the one-pass product against the left fold of ``mul``, on words
+        # along a row walk (a chain) with positions replaced by a zero or an
+        # arbitrary position (a break, unless it happens to chain)
+        size = data.draw(strategies.integers(1, 5))
+        st = MatrixUnitSemigroup(size)
+        row = strategies.integers(1, size)
+        rows = data.draw(strategies.lists(row, min_size=1, max_size=12))
+        hs = [(a, b) for a, b in zip(rows, rows[1:])]
+        edit = strategies.one_of(strategies.just(MU_ZERO), strategies.tuples(row, row))
+        for at, h in data.draw(strategies.lists(strategies.tuples(strategies.integers(0, 11), edit), max_size=3)):
+            if at < len(hs):
+                hs[at] = h
+        if not hs:
+            for empty in ((), [], iter(())):
+                with pytest.raises(GradingError, match=r"^empty product is undefined without an identity$"):
+                    st.product(empty)
+            return
+        expected = functools.reduce(st.mul, hs)
+        assert st.product(hs) == st.product(tuple(hs)) == st.product(h for h in hs) == expected
+
+    def test_matrix_unit_product_pins(self):
+        st = MatrixUnitSemigroup(3)
+        assert st.product([(1, 2)]) == (1, 2)
+        assert st.product([MU_ZERO]) == MU_ZERO
+        assert st.product([(1, 2), (2, 3), (3, 3), (3, 1)]) == (1, 1)
+        assert st.product([(1, 2), (3, 1)]) == MU_ZERO
+        for zero_at in range(3):
+            hs = [(1, 2), (2, 2), (2, 3)]
+            hs[zero_at] = MU_ZERO
+            assert st.product(hs) == MU_ZERO
+        assert st.product([MU_ZERO, MU_ZERO]) == MU_ZERO
 
     @pytest.mark.parametrize("spec", [f"zn:{n}" for n in range(1, 10)] + ["zn:128", "zp:7", "z:3"])
     def test_product_matches_the_generic_reduction(self, spec):
