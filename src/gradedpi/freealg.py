@@ -453,20 +453,23 @@ class _Parser:
                 self.error("expected '+', '-', or end of input")
 
 
-# The term reader accepts exactly the texts ``_Parser`` accepts.  A match keeps
-# a few kB of backtracking state per factor, so a term is matched at most 65
-# factors at a time: ``_HEAD``, then ``_MORE`` until ``_END``.  ``\s`` and
-# ``\d`` match what ``str.isspace`` and ``str.isdecimal`` (the digits ``int``
-# reads) accept.  Every ``\s*`` is next to a literal, never to another
-# ``\s*``, so a refusal takes linear time.
-_VAR = r"\s*(?:(-?\d+)|\(\s*(\d+)\s*,\s*(\d+)\s*\))\s*,\s*(\d+)\s*"
-_FACTOR = rf"x\[{_VAR}\](?:\s*\^\s*\d+)?"
+# The term reader accepts exactly the texts ``_Parser`` accepts.  The term
+# patterns take a factor's bracket text as anything up to the next ``]``;
+# ``_Vars`` checks each distinct bracket text against ``_VAR`` once.  A match
+# keeps backtracking state per factor, so a term is matched at most 65
+# factors at a time: ``_HEAD``, then ``_MORE`` until one of them also reads
+# the operator after the term (``op``: ``+``, ``-``, or "" at the end).
+# ``\s`` and ``\d`` match what ``str.isspace`` and ``str.isdecimal`` (the
+# digits ``int`` reads) accept.  Every ``\s*`` is next to a literal, never to
+# another ``\s*``, so a refusal takes linear time.
+_VAR = re.compile(r"\s*(?:(-?\d+)|\(\s*(\d+)\s*,\s*(\d+)\s*\))\s*,\s*(\d+)\s*")
+_FACTOR = r"x\[[^\]]*\](?:\s*\^\s*\d+)?"
 _FACTORS = rf"(?:\s*\*\s*{_FACTOR}){{1,64}}"
-_HEAD = re.compile(rf"\s*(?=[\dx])(?P<coeff>\d+)?(?:(?(coeff)\s*\*\s*){_FACTOR}(?:{_FACTORS})?)?")
-_MORE = re.compile(_FACTORS)
-_END = re.compile(r"\s*([+-]|\Z)")
+_OP = r"(?:\s*(?P<op>[+-]|\Z))?"
+_HEAD = re.compile(rf"\s*(?=[\dx])(?P<coeff>\d+)?(?:(?(coeff)\s*\*\s*){_FACTOR}(?:{_FACTORS})?)?{_OP}")
+_MORE = re.compile(_FACTORS + _OP)
 _LEAD = re.compile(r"\s*(-?)")
-# the bracket text, and the exponent, of each factor of an accepted term
+# the bracket text, and the exponent, of each factor of a matched term
 _BRACKETS = re.compile(r"\[([^\]]*)\]")
 _EXPONENTS = re.compile(r"\](?:\s*\^\s*(\d+))?")
 
@@ -483,7 +486,10 @@ class _Vars(dict):
         self.structure = structure
 
     def __missing__(self, key):
-        grade, i, j, index = re.fullmatch(_VAR, key).groups()
+        m = _VAR.fullmatch(key)
+        if m is None:
+            raise _Refused
+        grade, i, j, index = m.groups()
         if grade:
             g = self.structure.grade_from_int(int(grade))
         else:
@@ -503,19 +509,18 @@ def _read_terms(text: str, grading: ElementaryGrading) -> Polynomial:
     powers = "^" in text
     terms: Dict[Monomial, int] = {}
     letters = 0
-    last = _LEAD.match(text)  # the leading sign, read like an operator
+    lead = _LEAD.match(text)
+    sign = -1 if lead[1] else 1
+    pos = lead.end()
     while True:
-        pos = last.end()
-        sign = -1 if last[1] == "-" else 1
-        m = _HEAD.match(text, pos)
+        m = last = _HEAD.match(text, pos)
         if m is None:
             raise _Refused
-        end = m.end()
-        while (last := _END.match(text, end)) is None:
-            more = _MORE.match(text, end)
-            if more is None:
+        while (op := last["op"]) is None:
+            last = _MORE.match(text, last.end())
+            if last is None:
                 raise _Refused
-            end = more.end()
+        end = last.end()
         word = tuple(map(var_of.__getitem__, _BRACKETS.findall(text, pos, end)))
         degree = len(word)
         if powers:
@@ -532,8 +537,12 @@ def _read_terms(text: str, grading: ElementaryGrading) -> Polynomial:
             terms[mono] = nc
         else:
             terms.pop(mono, None)
-        if not last[1]:
-            return Polynomial(terms)
+        if not op:
+            poly = Polynomial()
+            poly.terms = terms  # holds no zero coefficient: skip the copy that drops them
+            return poly
+        sign = -1 if op == "-" else 1
+        pos = end
 
 
 def parse_polynomial(text: str, grading: ElementaryGrading) -> Polynomial:
@@ -565,10 +574,16 @@ def parse_monomial(text: str, grading: ElementaryGrading) -> Monomial:
 
 
 def _format_word(m: Monomial, grading: ElementaryGrading) -> str:
+    format_grade = grading.structure.format_grade
+    # each variable object's text, built once; keyed by identity, since equal
+    # grades such as 1, 1.0 and True are refused or printed differently
+    names: Dict[int, str] = {}
     parts = []
     for var, run in itertools.groupby(m.vars):
         count = len(list(run))
-        text = f"x[{grading.structure.format_grade(var.grade)},{var.index}]"
+        text = names.get(id(var))
+        if text is None:
+            text = names[id(var)] = f"x[{format_grade(var.grade)},{var.index}]"
         parts.append(text if count == 1 else f"{text}^{count}")
     return "*".join(parts)
 

@@ -11,6 +11,9 @@ captured, timing only the call. At the end the tool prints, per side, the
 busy-time jobs/s (jobs over the summed call times), the median and 90th
 percentile job time, and one SHA-256 digest over every job's exit code,
 stdout and stderr, in order; equal digests mean byte-identical output.
+``--by-label`` also prints each side's busy milliseconds per job class, the
+job label's text before its first ``/`` (``s7``, ``(2)+walk``, ``384``), so
+an A/B shows where a gain lands.
 
 Standard library only. The two workers never run at the same time.
 """
@@ -35,7 +38,8 @@ DEFAULT_JOBS = os.path.join(os.path.dirname(HERE), "perfbench", "jobs.py")
 
 def worker(checkout: str, jobs_path: str, workload: str, seed: int) -> int:
     """Read round indices from stdin, one a line; answer each with one JSON
-    line: per job, its call time and the digest of its exit code and output."""
+    line: per job, its call time, its label and the digest of its exit code
+    and output."""
     sys.path.insert(0, os.path.join(checkout, "src"))
     sys.path.insert(0, os.path.dirname(os.path.abspath(jobs_path)))
     from gradedpi import cli
@@ -61,7 +65,7 @@ def worker(checkout: str, jobs_path: str, workload: str, seed: int) -> int:
                         code = f"raised {type(exc).__name__}: {exc}"
                 seconds = time.perf_counter() - start
                 blob = f"{code}\0{out.getvalue()}\0{err.getvalue()}\0".encode("utf-8")
-                results.append([seconds, hashlib.sha256(blob).hexdigest()])
+                results.append([seconds, job.label, hashlib.sha256(blob).hexdigest()])
             for name in rnd.files:
                 os.remove(name)
             print(json.dumps(results), flush=True)
@@ -79,12 +83,26 @@ def summary(times: list, digests: list) -> dict:
     }
 
 
+def by_label(labels: list, times: list) -> None:
+    """Print both sides' busy milliseconds per job class, largest A first."""
+    busy = [{}, {}]
+    for s in (0, 1):
+        for label, seconds in zip(labels[s], times[s]):
+            key = label.split("/", 1)[0]
+            busy[s][key] = busy[s].get(key, 0.0) + seconds * 1000
+    print(f"{'class':<12} {'A ms':>10} {'B ms':>10} {'B/A':>6}")
+    for key in sorted(busy[0], key=lambda k: (-busy[0][k], k)):
+        a, b = busy[0][key], busy[1].get(key, 0.0)
+        print(f"{key:<12} {a:>10.1f} {b:>10.1f} {b / a if a else float('nan'):>6.2f}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=("check", "basis", "congruence", "verify"))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--rounds", type=int, default=4)
     parser.add_argument("--jobs", default=DEFAULT_JOBS, help="the job generator to read (default: %(default)s)")
+    parser.add_argument("--by-label", action="store_true", help="also print busy ms per job class (label before '/')")
     parser.add_argument("--worker", metavar="CHECKOUT", help=argparse.SUPPRESS)
     parser.add_argument("checkouts", nargs="*", metavar="CHECKOUT")
     args = parser.parse_args(argv)
@@ -104,6 +122,7 @@ def main(argv=None) -> int:
         for side in sides
     ]
     times = [[], []]
+    labels = [[], []]
     digests = [[], []]
     try:
         for index in range(args.rounds):
@@ -113,8 +132,9 @@ def main(argv=None) -> int:
                 line = procs[s].stdout.readline()
                 if not line:
                     raise SystemExit(f"worker for {sides[s]} stopped in round {index}")
-                for seconds, digest in json.loads(line):
+                for seconds, label, digest in json.loads(line):
                     times[s].append(seconds)
+                    labels[s].append(label)
                     digests[s].append(digest)
     finally:
         for proc in procs:
@@ -127,6 +147,8 @@ def main(argv=None) -> int:
             f"{name} {side}: {res['jobs']} jobs, {res['jobs_per_s']:.1f} jobs/s busy, "
             f"p50 {res['p50_ms']:.2f} ms, p90 {res['p90_ms']:.2f} ms, digest {res['digest']}"
         )
+    if args.by_label:
+        by_label(labels, times)
     same = results[0]["digest"] == results[1]["digest"]
     print("digests equal" if same else "DIGESTS DIFFER")
     return 0 if same else 1
