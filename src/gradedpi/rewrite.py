@@ -3,12 +3,13 @@
 Two monomials with equal generic evaluations at some shared nonzero entry are
 congruent modulo the commutation rules, and the congruence is witnessed by an
 explicit chain of rule applications.  Rules act on contiguous blocks (images
-of the generator variables under graded substitution) and come in three
-shapes, read through the structure's ``is_diagonal`` and ``transpose``:
+of the generator variables under graded substitution), read through the
+structure's ``is_diagonal`` and ``transpose``.  Two of them reverse k adjacent
+blocks, under one check of the blocks' degrees (``_reversible``):
 
-* swap      a b -> b a when deg(a) and deg(b) are both diagonal degrees,
-* reversal  a b c -> c b a when deg(a) = deg(c) is not diagonal and deg(b)
-            is its transpose,
+* swap      (k = 2) a b -> b a when deg(a) and deg(b) are both diagonal,
+* reversal  (k = 3) a b c -> c b a when deg(a) = deg(c) is not diagonal and
+            deg(b) is its transpose,
 * kill      a variable whose degree has no admissible row annihilates the
             monomial.
 
@@ -27,7 +28,8 @@ means blocks [p..q], [q+1..r], [r+1..s]; a kill window is (p,).
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from itertools import accumulate, pairwise
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .grading import ElementaryGrading, MATRIX_UNITS, _walk_from
 from .freealg import Monomial, format_monomial, parse_monomial
@@ -65,47 +67,70 @@ def _rule_names(grading: ElementaryGrading) -> Tuple[str, str, str]:
     return SWAP_NEUTRAL, REVERSE_CONJUGATE, KILL_EMPTY_SUPPORT
 
 
+def _reversible(st, degrees) -> bool:
+    """Whether adjacent blocks of these degrees may be reversed: two blocks
+    (a swap) when both degrees are diagonal, three (a reversal) when deg(a)
+    = deg(c) is off the diagonal and deg(b) is its transpose."""
+    if len(degrees) == 2:
+        return st.is_diagonal(degrees[0]) and st.is_diagonal(degrees[1])
+    da, db, dc = degrees
+    return da == dc and not st.is_diagonal(da) and db == st.transpose(da)
+
+
 def apply_rule(m: Monomial, rule: str, window: Tuple[int, ...], grading: ElementaryGrading) -> Optional[Monomial]:
     """Apply one rule at a window; returns the new monomial, or None for a kill."""
     swap, reverse, kill = _rule_names(grading)
+    shapes = {
+        swap: ("swap", 3, "(p, q, r)", "two adjacent blocks of diagonal degree"),
+        reverse: ("reversal", 4, "(p, q, r, s)", "deg(a) = deg(c) off the diagonal and deg(b) its transpose"),
+        kill: ("kill", 1, "(p,)", "a degree with no admissible row"),
+    }
     if rule not in (swap, reverse, kill):
         raise RuleError(f"rule {rule!r} is unknown to this grading; its rules are {swap}, {reverse}, {kill}")
-    st = grading.structure
+    name, size, shape, needs = shapes[rule]
+    if len(window) != size:
+        raise RuleError(f"{name} rules take a window {shape}")
+    if any(type(i) is not int for i in window):
+        raise RuleError(f"{name} windows hold integers, not {window!r}")
     l = len(m)
-    if rule == swap:
-        if len(window) != 3:
-            raise RuleError("swap rules take a window (p, q, r)")
-        p, q, r = window
-        if not (1 <= p <= q < r <= l):
-            raise RuleError(f"bad swap window {window} for length {l}")
-        a = m.vars[p - 1 : q]
-        b = m.vars[q:r]
-        if not all(st.is_diagonal(st.product(v.grade for v in block)) for block in (a, b)):
-            raise RuleError(f"{rule} needs two adjacent blocks of diagonal degree")
-        return Monomial(m.vars[: p - 1] + b + a + m.vars[r:])
-    if rule == reverse:
-        if len(window) != 4:
-            raise RuleError("reversal rules take a window (p, q, r, s)")
-        p, q, r, s = window
-        if not (1 <= p <= q < r < s <= l):
-            raise RuleError(f"bad reversal window {window} for length {l}")
-        a = m.vars[p - 1 : q]
-        b = m.vars[q:r]
-        c = m.vars[r:s]
-        da, db, dc = (st.product(v.grade for v in block) for block in (a, b, c))
-        if da != dc or st.is_diagonal(da) or db != st.transpose(da):
-            raise RuleError(
-                f"{rule} needs deg(a) = deg(c) off the diagonal and deg(b) its transpose"
-            )
-        return Monomial(m.vars[: p - 1] + c + b + a + m.vars[s:])
-    if len(window) != 1:
-        raise RuleError("kill rules take a window (p,)")
-    (p,) = window
-    if not (1 <= p <= l):
-        raise RuleError(f"bad kill window {window} for length {l}")
-    if grading._target(m.vars[p - 1].grade):
-        raise RuleError(f"{rule} needs a degree with no admissible row")
-    return None
+    if rule == kill:
+        if not (1 <= window[0] <= l):
+            raise RuleError(f"bad kill window {window} for length {l}")
+        if grading._target(m.vars[window[0] - 1].grade):
+            raise RuleError(f"{rule} needs {needs}")
+        return None
+    bounds = (window[0] - 1, *window[1:])
+    spans = tuple(pairwise(bounds))
+    if not (0 <= bounds[0] and all(lo < hi for lo, hi in spans) and bounds[-1] <= l):
+        raise RuleError(f"bad {name} window {window} for length {l}")
+    st = grading.structure
+    if not _reversible(st, [st.product(v.grade for v in m.vars[lo:hi]) for lo, hi in spans]):
+        raise RuleError(f"{rule} needs {needs}")
+    moved = sum((m.vars[lo:hi] for lo, hi in reversed(spans)), ())
+    return Monomial(m.vars[: bounds[0]] + moved + m.vars[bounds[-1] :])
+
+
+def _rewrite_windows(m: Monomial, grading: ElementaryGrading) -> Iterator[Tuple[str, Tuple[int, ...]]]:
+    """Every swap and reversal ``apply_rule`` accepts on m, as (rule, window),
+    in lexicographic window order, each swap (p, q, r) before the reversals
+    (p, q, r, s) that extend it.  Block degrees are read from one table,
+    ``deg[i][j]`` the product of letters i+1..j, each row built by extending
+    its product one letter to the right."""
+    swap, reverse, _ = _rule_names(grading)
+    st = grading.structure
+    grades = [v.grade for v in m.vars]
+    l = len(grades)
+    deg = [[None] * (i + 1) + list(accumulate(grades[i:], st.mul)) for i in range(l)]
+    for p in range(1, l + 1):
+        for q in range(p, l + 1):
+            da = deg[p - 1][q]
+            for r in range(q + 1, l + 1):
+                db = deg[q][r]
+                if _reversible(st, (da, db)):
+                    yield swap, (p, q, r)
+                for s in range(r + 1, l + 1):
+                    if _reversible(st, (da, db, deg[r][s])):
+                        yield reverse, (p, q, r, s)
 
 
 def replay(proof: CongruenceProof, grading: ElementaryGrading) -> Monomial:
@@ -156,22 +181,15 @@ def _move_blocks(grading, step: Step, word: list, grades: list) -> None:
     search and raises RuntimeError.
     """
     st = grading.structure
-    if step.rule == _rule_names(grading)[0]:
-        p, q, r = step.window
-        holds = st.is_diagonal(st.product(grades[p - 1 : q])) and st.is_diagonal(st.product(grades[q:r]))
-        order = ((q, r), (p - 1, q))
-    else:
-        p, q, r, s = step.window
-        da, db, dc = st.product(grades[p - 1 : q]), st.product(grades[q:r]), st.product(grades[r:s])
-        holds = da == dc and not st.is_diagonal(da) and db == st.transpose(da)
-        order = ((r, s), (q, r), (p - 1, q))
-    if not holds:
+    bounds = (step.window[0] - 1, *step.window[1:])
+    spans = tuple(pairwise(bounds))
+    if not _reversible(st, [st.product(grades[lo:hi]) for lo, hi in spans]):
         raise RuntimeError(f"{step.rule} at {step.window} breaks its precondition")
     for letters in (word, grades):
         moved = []
-        for lo, hi in order:
+        for lo, hi in reversed(spans):
             moved += letters[lo:hi]
-        letters[p - 1 : order[0][1]] = moved
+        letters[bounds[0] : bounds[-1]] = moved
 
 
 def find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Optional[CongruenceProof]:
@@ -291,11 +309,13 @@ def proof_to_json(proof: CongruenceProof, grading: ElementaryGrading) -> dict:
 
 
 def proof_from_json(data: dict, grading: ElementaryGrading) -> CongruenceProof:
-    steps = tuple(
-        Step(item["rule"], tuple(item["window"])) for item in data.get("steps", ())
-    )
+    steps = []
+    for item in data.get("steps", ()):
+        if not (isinstance(item, dict) and isinstance(item.get("rule"), str) and isinstance(item.get("window"), list)):
+            raise RuleError(f"a proof step is an object with a rule name and a window list, not {item!r}")
+        steps.append(Step(item["rule"], tuple(item["window"])))
     return CongruenceProof(
         parse_monomial(data["start"], grading),
         parse_monomial(data["end"], grading),
-        steps,
+        tuple(steps),
     )

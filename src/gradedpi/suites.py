@@ -31,7 +31,7 @@ from .freealg import (
 )
 from .genericmodel import PolyMatrix, entry_match, evaluate, is_identity, monomial_product
 from .oracles import matrix_unit_oracle, naive_monomial_product, unit_chain_exists, unit_walks
-from .rewrite import _rule_names, apply_rule, find_congruence, replay
+from .rewrite import _rewrite_windows, apply_rule, find_congruence, replay
 from .bases import (
     GeneratorInstance,
     basis_report,
@@ -348,28 +348,6 @@ def battery_complete_sequences(seed: int = 0) -> List[ItemResult]:
     return items
 
 
-def _applicable_rewrites(m: Monomial, grading: ElementaryGrading):
-    """All swap and reversal applications currently legal on a monomial."""
-    swap_rule, rev_rule, _ = _rule_names(grading)
-    l = len(m)
-    found = []
-    for p in range(1, l + 1):
-        for q in range(p, l + 1):
-            for r in range(q + 1, l + 1):
-                try:
-                    apply_rule(m, swap_rule, (p, q, r), grading)
-                    found.append((swap_rule, (p, q, r)))
-                except ValueError:
-                    pass
-                for s in range(r + 1, l + 1):
-                    try:
-                        apply_rule(m, rev_rule, (p, q, r, s), grading)
-                        found.append((rev_rule, (p, q, r, s)))
-                    except ValueError:
-                        pass
-    return found
-
-
 def battery_congruence(seed: int = 0) -> List[ItemResult]:
     """Congruence proofs: found when entries match, sound step by step."""
     items: List[ItemResult] = []
@@ -382,7 +360,7 @@ def battery_congruence(seed: int = 0) -> List[ItemResult]:
         m = Monomial(Var(rng.randrange(3), rng.randint(1, 2)) for _ in range(d))
         cur = m
         for _ in range(rng.randint(1, 4)):
-            apps = _applicable_rewrites(cur, grading)
+            apps = list(_rewrite_windows(cur, grading))
             if not apps:
                 break
             rule, window = rng.choice(apps)

@@ -8,7 +8,7 @@ import pytest
 
 from gradedpi.grading import is_complete_sequence, parse_grading_spec
 from gradedpi.freealg import Monomial, Polynomial, Var, apply_substitution
-from gradedpi.genericmodel import is_central, is_identity
+from gradedpi.genericmodel import evaluate, is_central, is_identity
 from gradedpi.oracles import matrix_unit_oracle, unit_walks
 from gradedpi.bases import (
     MAX_SCAN_STEPS,
@@ -205,6 +205,21 @@ class TestBuildBasis:
                     mapping[v] = Polynomial.from_monomial(image)
             out = apply_substitution(inst.poly, mapping, MU2)
             assert is_identity(out, MU2)
+
+    @pytest.mark.parametrize("spec", ["zp:2", "zp:3", "zp:5", "z:2", "z:3", "z:4", "z:5"])
+    def test_evaluations_have_unit_coefficients(self, spec):
+        # the paper's K is any infinite integral domain.  Every coefficient
+        # of every cell is +-1, so reducing the cells mod a prime p keeps
+        # every nonzero cell nonzero and equal cells equal: no instance's
+        # verdict (zero, or a nonzero scalar) depends on the characteristic
+        grading = parse_grading_spec(spec)
+        cells = 0
+        for kind in ("identities", "central"):
+            for inst in build_basis(grading, kind).instances:
+                for pos, cell in evaluate(inst.poly, grading).cells.items():
+                    cells += 1
+                    assert set(cell.terms.values()) <= {1, -1}, (kind, inst.family, inst.params, pos)
+        assert cells > 0
 
 
 class TestCyclicSymmetrization:

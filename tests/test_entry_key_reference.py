@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 from gradedpi.freealg import Monomial, Var
 from gradedpi.genericmodel import PolyMatrix, _decode_key, _entry_keys, entry_match
 from gradedpi.oracles import naive_monomial_product
-from gradedpi.rewrite import apply_rule
-from gradedpi.suites import _applicable_rewrites
+from gradedpi.rewrite import _rewrite_windows, apply_rule
 
 
 def reference_entry_match(p1: PolyMatrix, p2: PolyMatrix) -> Optional[Tuple[int, int]]:
@@ -59,7 +58,7 @@ def _partner(data, grading, grades, word):
     if how == "permuted":
         return data.draw(st.permutations(word))
     if how == "rewritten":
-        apps = _applicable_rewrites(Monomial(word), grading) if len(word) > 1 else []
+        apps = list(_rewrite_windows(Monomial(word), grading))
         if apps:
             rule, window = data.draw(st.sampled_from(apps))
             return list(apply_rule(Monomial(word), rule, window, grading).vars)

@@ -1,11 +1,14 @@
 """Differential check of the per-kind grading structures against the kind
 dispatch they replaced.
 
-``ReferenceStructure``, ``ReferenceGrading``, ``reference_apply_rule`` and
-``reference_classify`` are the earlier code, kept verbatim apart from their
-names: one structure class that branched on a kind string in every member,
-an elementary grading that branched on it for the unit degrees and row maps,
-a rewrite step that wrote each rule's precondition once per kind, and a
+``ReferenceStructure``, ``ReferenceGrading``, ``reference_apply_rule``,
+``reference_applicable_rewrites`` and ``reference_classify`` are the earlier
+code, kept verbatim apart from their names: one structure class that
+branched on a kind string in every member, an elementary grading that
+branched on it for the unit degrees and row maps, a rewrite step that wrote
+each rule's precondition once per kind, the suites' search for legal
+rewrite windows, which tried every window under ``try/except`` (it calls
+``reference_apply_rule`` where it called ``apply_rule``), and a
 classification with a separate support-closure pass for the positional kind.
 ``_support_closed`` is the support-closure test that followed them, kept
 verbatim: it multiplies out the running product of every subword.  The
@@ -49,6 +52,8 @@ from gradedpi.rewrite import (
     REVERSE_CONJUGATE,
     SWAP_NEUTRAL,
     RuleError,
+    _rewrite_windows,
+    _rule_names,
     apply_rule,
 )
 
@@ -443,6 +448,28 @@ def reference_apply_rule(m: Monomial, rule: str, window: Tuple[int, ...], gradin
     return None
 
 
+def reference_applicable_rewrites(m: Monomial, grading: ElementaryGrading):
+    """All swap and reversal applications currently legal on a monomial."""
+    swap_rule, rev_rule, _ = _rule_names(grading)
+    l = len(m)
+    found = []
+    for p in range(1, l + 1):
+        for q in range(p, l + 1):
+            for r in range(q + 1, l + 1):
+                try:
+                    reference_apply_rule(m, swap_rule, (p, q, r), grading)
+                    found.append((swap_rule, (p, q, r)))
+                except ValueError:
+                    pass
+                for s in range(r + 1, l + 1):
+                    try:
+                        reference_apply_rule(m, rev_rule, (p, q, r, s), grading)
+                        found.append((rev_rule, (p, q, r, s)))
+                    except ValueError:
+                        pass
+    return found
+
+
 # -- classification ----------------------------------------------------------
 
 
@@ -715,6 +742,25 @@ def test_apply_rule_matches_reference_on_every_short_word(name):
             for window in windows:
                 got = _rule_outcome(apply_rule, m, rule, window, new)
                 assert got == _rule_outcome(reference_apply_rule, m, rule, window, old), (grades, rule, window)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_rewrite_windows_match_reference_on_every_short_word(name):
+    # the same (rule, window) pairs in the same order, on every word of
+    # three letters over the pool
+    old, new, pool = PAIRS[name]
+    for grades in itertools.product(pool, repeat=3):
+        m = Monomial(Var(g, 1) for g in grades)
+        assert list(_rewrite_windows(m, new)) == reference_applicable_rewrites(m, old), grades
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rewrite_windows_match_reference(name, data):
+    old, new, pool = PAIRS[name]
+    m = _words(data, old, pool, 8)
+    assert list(_rewrite_windows(m, new)) == reference_applicable_rewrites(m, old)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -18,13 +18,13 @@ from gradedpi.rewrite import (
     RuleError,
     SWAP_NEUTRAL,
     Step,
+    _rewrite_windows,
     apply_rule,
     find_congruence,
     proof_from_json,
     proof_to_json,
     replay,
 )
-from gradedpi.suites import _applicable_rewrites
 
 ZN2 = parse_grading_spec("zn:2")
 ZN3 = parse_grading_spec("zn:3")
@@ -246,7 +246,7 @@ class TestCongruenceProperties:
         # a chain of legal rewrites, then possibly a shuffle that breaks it
         n = m
         for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
-            apps = _applicable_rewrites(n, grading)
+            apps = list(_rewrite_windows(n, grading))
             if not apps:
                 break
             rule, window = data.draw(st.sampled_from(apps))
@@ -298,6 +298,28 @@ class TestReplay:
         assert data["steps"][0]["rule"] == REVERSE_CONJUGATE
         assert len(data["steps"][0]["window"]) == 4
         assert proof_from_json(data, ZN3) == proof
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            {"rule": REVERSE_CONJUGATE, "window": [1.0, 1, 2, 3]},
+            {"rule": REVERSE_CONJUGATE, "window": [True, 1, 2, 3]},
+            {"rule": REVERSE_CONJUGATE, "window": [1, 1, 2, "3"]},
+            {"rule": REVERSE_CONJUGATE, "window": "1123"},
+            {"rule": REVERSE_CONJUGATE, "window": 4},
+            {"rule": REVERSE_CONJUGATE},
+            {"window": [1, 1, 2, 3]},
+            {"rule": ["reverse"], "window": [1, 1, 2, 3]},
+            [REVERSE_CONJUGATE, [1, 1, 2, 3]],
+        ],
+        ids=repr,
+    )
+    def test_malformed_steps_are_rule_errors(self, step):
+        data = {"start": "x[1,1]*x[2,2]*x[1,3]", "end": "x[1,3]*x[2,2]*x[1,1]", "steps": [step]}
+        good = dict(data, steps=[{"rule": REVERSE_CONJUGATE, "window": [1, 1, 2, 3]}])
+        assert replay(proof_from_json(good, ZN3), ZN3) == mono((1, 3), (2, 2), (1, 1))
+        with pytest.raises(RuleError):
+            replay(proof_from_json(data, ZN3), ZN3)
 
 
 class TestFollowsFromKill:
