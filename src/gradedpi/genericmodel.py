@@ -8,18 +8,18 @@ Both checks ask integer coefficients to vanish in Z, so the verdicts are
 those of characteristic 0: ``2*x[1,1]`` on ``zn:2`` is not an identity here,
 though it is one over a domain of characteristic 2.
 
-One routine, ``_entry_keys``, walks a word in closed form from the row walks
-of its degree sequence, rather than by iterated matrix multiplication, and
-names the entry each surviving walk reaches, coded as a sorted tuple of
-ints, one per letter (its variable's code on the grading plus its row).
-Coefficients are merged into coded entries; ``evaluate`` and
-``monomial_product`` decode their cells into (variable, exponent) keys, the
-verdicts decode nothing but the entries a witness prints, and
-``entry_match`` (and through it ``rewrite.find_congruence``) compares two
-words' coded entries.  The empty word (a constant term) stays on every row,
-so it lands on the diagonal.  The naive product, the independent
-cross-check, lives in ``gradedpi.oracles``; this module does no matrix
-arithmetic.
+One routine, ``_entry_keys``, walks a word in closed form from the row maps
+of its degrees, rather than by iterated matrix multiplication, and codes
+each letter it reads as one int, its variable's code on the grading plus
+the row it is read at.  Sorted, a surviving walk's letters are the key of
+the entry it reaches.  Coefficients are merged into coded entries;
+``evaluate`` and ``monomial_product`` decode their cells into (variable,
+exponent) keys, the verdicts decode nothing but the entries a witness
+prints, ``entry_match`` compares two words' coded entries, and
+``rewrite.find_congruence`` pairs two words' letters.  The empty word (a
+constant term) stays on every row, so it lands on the diagonal.  The naive
+product, the independent cross-check, lives in ``gradedpi.oracles``; this
+module does no matrix arithmetic.
 
 On a transitive grading the verdicts walk start row 1 alone.
 """
@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .grading import ElementaryGrading, Grade, GradingError
 from .freealg import Monomial, Polynomial, _signed_sum
@@ -144,16 +144,18 @@ class PolyMatrix:
         return f"PolyMatrix({self.n}x{self.n})"
 
 
-def _entry_keys(grading: ElementaryGrading, word, starts=None) -> Dict[int, Tuple[int, tuple]]:
-    """``{start: (end, key)}`` for each row walk that survives ``word`` (a
-    sequence of variables): walking from row k (a row admitting the first
+def _entry_keys(grading: ElementaryGrading, word, starts=None) -> Dict[int, Tuple[int, List[int]]]:
+    """``{start: (end, letters)}`` for each row walk that survives ``word``
+    (a sequence of variables): walking from row k (a row admitting the first
     letter) to the final row, the word's product is y[h_1,i_1,row_1] * ... *
-    y[h_q,i_q,row_q] at position (k, final row), and ``key`` is that entry
-    coded: the sorted tuple of one int per letter, the letter's variable code
-    (``ElementaryGrading._letter``) plus its row, so a repeated int is an
-    exponent.  ``_decode_key`` gives the (variable, exponent) pairs.  The
-    empty word stays on every row with key ().  ``starts`` keeps only its
-    rows.
+    y[h_q,i_q,row_q] at position (k, final row).  ``letters`` codes those
+    factors in word order, one int per letter: its variable's code
+    (``ElementaryGrading._letter``) plus the row it is read at, so the row
+    is the int mod n + 1.  Sorted, the letters are the entry's key, in which
+    a repeated int is an exponent; ``_decode_key`` gives the (variable,
+    exponent) pairs.  The empty word stays on every row with no letters.
+    ``starts`` keeps only its rows.  The one walk over a word: the verdicts,
+    ``entry_match`` and ``rewrite.find_congruence`` read it.
     """
     known = grading._letters
     letters = [known.get(v) or grading._letter(v) for v in word]
@@ -169,8 +171,7 @@ def _entry_keys(grading: ElementaryGrading, word, starts=None) -> Dict[int, Tupl
             key.append(code + cur)
             cur = nxt
         else:
-            key.sort()
-            keys[start] = (cur, tuple(key))
+            keys[start] = (cur, key)
     return keys
 
 
@@ -192,12 +193,14 @@ def _walk_words(grading: ElementaryGrading, terms: Iterable[Tuple[Monomial, int]
     """Coded entries, per position, of the sum of coeff times the
     closed-form product of each word in ``terms``, (monomial, coefficient)
     pairs: each coefficient is merged straight into the word's entries from
-    ``_entry_keys``; a cancelled key stays, at 0, until the entries are
-    wrapped.  ``starts`` keeps only its rows.
+    ``_entry_keys``, keyed by the sorted letters; a cancelled key stays, at
+    0, until the entries are wrapped.  ``starts`` keeps only its rows.
     """
     acc: Dict[Position, Dict[tuple, int]] = {}
     for mono, coeff in terms:
-        for start, (end, key) in _entry_keys(grading, mono.vars, starts).items():
+        for start, (end, letters) in _entry_keys(grading, mono.vars, starts).items():
+            letters.sort()
+            key = tuple(letters)
             cell = acc.setdefault((start, end), {})
             cell[key] = cell.get(key, 0) + coeff
     return acc
@@ -313,10 +316,14 @@ def entry_match(m1: Monomial, m2: Monomial, grading: ElementaryGrading) -> Optio
     """First position (row-major, 1-based) where both generic evaluations
     carry the identical nonzero entry, or None.  A word's product has at most
     one entry per start row, so the rows are tried in ascending order and the
-    first whose walks reach the same end row with the same key wins."""
+    first whose walks reach the same end row with the same sorted letters
+    wins."""
     for k in range(1, grading.n + 1):
         hit = _entry_keys(grading, m1.vars, (k,)).get(k)
-        if hit is not None and hit == _entry_keys(grading, m2.vars, (k,)).get(k):
+        if hit is None:
+            continue
+        other = _entry_keys(grading, m2.vars, (k,)).get(k)
+        if other is not None and hit[0] == other[0] and sorted(hit[1]) == sorted(other[1]):
             return k, hit[0]
     return None
 

@@ -117,20 +117,22 @@ class GradingStructure:
         """Degree g_i^-1 g_j of the unit e_ij (1-based) under the row grades."""
         return self.mul(self.inverse(row_grades[i - 1]), row_grades[j - 1])
 
-    def row_map(self, row_grades: Tuple[Grade, ...], h: Grade) -> Dict[int, int]:
-        """Row k to the column j with g_k h = g_j, for the rows that have one."""
-        row_of = {g: k for k, g in enumerate(row_grades, 1)}
-        cols = ((k, row_of.get(self.mul(g, h))) for k, g in enumerate(row_grades, 1))
-        return {k: j for k, j in cols if j is not None}
-
     def row_maps(self, row_grades: Tuple[Grade, ...]) -> Callable[[Grade], Dict[int, int]]:
-        """``row_map`` under these row grades, as a function of the grade.
+        """The row map under these row grades, as a function of the grade h:
+        row k to the column j with g_k h = g_j, for the rows that have one.
 
-        The shape of the tuple is read here, once per grading; a kind with a
-        closed form for its canonical tuple returns that, equal to
-        ``row_map`` in values and in key order (rows ascending).
+        The tuple is read here, once per grading; a kind with a closed form
+        for its canonical tuple returns that, equal to this one in values and
+        in key order (rows ascending).
         """
-        return functools.partial(self.row_map, row_grades)
+        row_of = {g: k for k, g in enumerate(row_grades, 1)}
+        mul = self.mul
+
+        def target(h: Grade) -> Dict[int, int]:
+            cols = ((k, row_of.get(mul(g, h))) for k, g in enumerate(row_grades, 1))
+            return {k: j for k, j in cols if j is not None}
+
+        return target
 
     def support(self, row_grades: Tuple[Grade, ...]) -> frozenset:
         """All degrees carried by some matrix unit: n^2 unit degrees."""
@@ -298,11 +300,11 @@ class IntegerGroup(GradingStructure):
         if row_grades != tuple(range(a, a + n)):
             return super().row_maps(row_grades)
 
-        def row_map(h: Grade) -> Dict[int, int]:
+        def target(h: Grade) -> Dict[int, int]:
             lo, hi = max(1, 1 - h), min(n, n - h)
             return dict(zip(range(lo, hi + 1), range(lo + h, hi + h + 1)))
 
-        return row_map
+        return target
 
     def support(self, row_grades: Tuple[Grade, ...]) -> frozenset:
         n = len(row_grades)
@@ -398,23 +400,9 @@ class MatrixUnitSemigroup(GradingStructure):
     def unit_degree(self, row_grades: Tuple[Grade, ...], i: int, j: int) -> Grade:
         return (i, j)
 
-    def row_map(self, row_grades: Tuple[Grade, ...], h: Grade) -> Dict[int, int]:
-        return {} if h == MU_ZERO else {h[0]: h[1]}
-
-
-def _walk_from(targets: Dict[Grade, Dict[int, int]], hs: Sequence[Grade], start: int) -> Optional[list]:
-    """Rows visited from ``start`` by a left-to-right sequence of degrees, or
-    None when the walk dies; ``targets[h]`` is the row map of grade h.  The
-    one walk over row maps: ``row_walk`` and ``find_congruence`` read it."""
-    path = [start]
-    append = path.append
-    cur = start
-    for h in hs:
-        cur = targets[h].get(cur)
-        if cur is None:
-            return None
-        append(cur)
-    return path
+    def row_maps(self, row_grades: Tuple[Grade, ...]) -> Callable[[Grade], Dict[int, int]]:
+        """The unit of degree (i, j) sends row i to column j."""
+        return lambda h: {} if h == MU_ZERO else {h[0]: h[1]}
 
 
 class ElementaryGrading:
@@ -423,10 +411,10 @@ class ElementaryGrading:
     Instances are immutable value objects; all derived data (support, row
     maps) is computed from the inducing tuple.  The row map of each grade is
     computed once per grading and shared, read-only, by every later walk:
-    ``_walk_from`` is the one walk over row maps, and ``row_walk`` answers
-    only which start rows survive a degree sequence.  The diagonal is exactly
-    the neutral component for group kinds because the row grades are
-    distinct.
+    ``genericmodel._entry_keys`` is the one walk over a word, and
+    ``row_walk`` answers only which start rows survive a degree sequence.
+    The diagonal is exactly the neutral component for group kinds because
+    the row grades are distinct.
     """
 
     def __init__(self, structure: GradingStructure, row_grades: Sequence[Grade], spec: Optional[str] = None):
@@ -494,11 +482,17 @@ class ElementaryGrading:
     def row_walk(self, hs: Sequence[Grade]) -> Tuple[int, ...]:
         """Start rows whose walk survives a left-to-right sequence of degrees;
         no rows means the monomial shape evaluates to zero on generic matrices."""
-        targets = {}
-        for h in hs:
-            if h not in targets:
-                targets[h] = self._target(h)
-        return tuple(k for k in range(1, self.n + 1) if _walk_from(targets, hs, k) is not None)
+        maps = [self._target(h) for h in hs]
+        rows = []
+        for k in range(1, self.n + 1):
+            cur = k
+            for target in maps:
+                cur = target.get(cur)
+                if cur is None:
+                    break
+            else:
+                rows.append(k)
+        return tuple(rows)
 
     def describe(self) -> str:
         if self.spec:

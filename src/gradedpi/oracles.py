@@ -12,8 +12,8 @@ row maps of the closed-form row walks:
 * ``unit_chain_exists``: a search over unit tuples for the chain of a
   complete sequence;
 * ``unit_walks``: the row walks of a degree sequence, unit by unit, against
-  the walk over row maps (``grading._walk_from``) that ``row_walk`` and
-  ``find_congruence`` read.
+  ``ElementaryGrading.row_walk`` and the walk over a word's row maps
+  (``genericmodel._entry_keys``).
 """
 
 from __future__ import annotations
@@ -72,12 +72,6 @@ def _units(grading: ElementaryGrading, grades: Sequence[Grade], build=list) -> l
     return [built[key] for key in keys]
 
 
-def make_generic(grading: ElementaryGrading, h: Grade, i: int) -> PolyMatrix:
-    """The canonical degree-h generic matrix with generic index i: the
-    product of the one-letter word x[h,i]."""
-    return naive_monomial_product(grading, Monomial((Var(h, i),)))
-
-
 def naive_monomial_product(grading: ElementaryGrading, m: Monomial) -> PolyMatrix:
     """Iterated matrix multiplication from the identity matrix, letter x[h,i]
     being y[h,i,k] at each unit (k, j) of degree h (at most one per row);
@@ -104,11 +98,6 @@ def unit_walks(grading: ElementaryGrading, hs: Sequence[Grade]) -> Dict[int, Tup
         else:
             walks[k] = tuple(path)
     return walks
-
-
-def units_of_degree(grading: ElementaryGrading, h: Grade) -> List[Tuple[int, int]]:
-    """All matrix unit positions carrying the degree h."""
-    return _units(grading, [h])[0]
 
 
 def _multilinear_variables(f: Polynomial) -> List[Var]:

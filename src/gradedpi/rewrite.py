@@ -31,9 +31,9 @@ from collections import Counter, deque
 from itertools import accumulate, pairwise
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .grading import ElementaryGrading, MATRIX_UNITS, _walk_from
+from .grading import ElementaryGrading, MATRIX_UNITS
 from .freealg import Monomial, format_monomial, parse_monomial
-from .genericmodel import entry_match
+from .genericmodel import _entry_keys, entry_match
 
 SWAP_NEUTRAL = "commute-e"
 REVERSE_CONJUGATE = "reverse-conjugate"
@@ -204,23 +204,23 @@ def find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Opt
     trivially congruent).
 
     Cost: one search for the shared entry, at the start: ``entry_match``,
-    which compares the two words' entry keys one start row at a time and
-    stops at the first matching row.  The alignment needs every letter's
-    row, which a key does not keep, so both row paths are then walked from
-    that row, through one row-transition table built from the distinct
-    grades, and the whole words are paired once, source with target
-    positions, first in first out by (variable, row).  That pairing is kept
-    to the end.  A strip changes no pair, since equal prefixes pair with
-    themselves.  A swap or reversal reads every moved letter at the row it
-    had, so each letter keeps its (variable, row) key; per key, the k3
-    letters it moves held the first target positions of their key, and they
-    take them back in their new order, in O(k3 log k3), while every later
-    letter keeps its pair.  That is the first-in first-out pairing of the
-    new suffixes, so the proof is the one a fresh search per
-    rearrangement would give: on group gradings two matching start rows
-    differ by a left multiplication of the row grades, a bijection applied
-    to both paths alike, so the pairing by (variable, row) is the same; on
-    ``mu:`` the first letter fixes the start row.
+    which compares the two words' sorted letters one start row at a time
+    and stops at the first matching row.  The alignment needs the letters
+    in word order, which a sorted key does not keep, so both words are then
+    walked from that row by ``_entry_keys``, and the whole words are paired
+    once, source with target positions, first in first out by coded letter
+    (an int naming the variable and the row it is read at).  That pairing
+    is kept to the end.  A strip changes no pair, since equal prefixes pair
+    with themselves.  A swap or reversal reads every moved letter at the row
+    it had, so each letter keeps its code; per code, the k3 letters it
+    moves held the first target positions of their code, and they take
+    them back in their new order, in O(k3 log k3), while every later letter
+    keeps its pair.  That is the first-in first-out pairing of the new
+    suffixes, so the proof is the one a fresh search per rearrangement
+    would give: on group gradings two matching start rows differ by a left
+    multiplication of the row grades, a bijection applied to both walks
+    alike, so the pairing by variable and row is the same; on ``mu:`` the
+    first letter fixes the start row.
 
     The word is kept as one list of letters and one of their grades, and a
     step rewrites only the letters in its window, in place, after checking
@@ -240,16 +240,12 @@ def find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Opt
     r = len(m)
     word = list(m.vars)
     grades = [v.grade for v in word]
-    targets = {g: grading._target(g) for g in set(grades)}
-    src_rows = _walk_from(targets, grades, hit[0])
-    dst_rows = _walk_from(targets, [v.grade for v in n.vars], hit[0])
-    # pair source with target positions by (variable, row), first in first
-    # out; a (variable, row) pair is numbered by its first target position
-    ids: Dict[tuple, int] = {}
+    start = hit[0]
+    keys = _entry_keys(grading, m.vars, (start,))[start][1]
+    # pair source with target positions by coded letter, first in first out
     slots: Dict[int, deque] = {}
-    for d, pair in enumerate(zip(n.vars, dst_rows)):
-        slots.setdefault(ids.setdefault(pair, d), deque()).append(d)
-    keys = [ids.get(pair) for pair in zip(m.vars, src_rows)]
+    for d, key in enumerate(_entry_keys(grading, n.vars, (start,))[start][1]):
+        slots.setdefault(key, deque()).append(d)
     at = [0] * r  # at[d]: the source position paired with target position d
     to = [0] * r  # to[s]: the target position paired with source position s
     for s, key in enumerate(keys):
@@ -283,8 +279,8 @@ def find_congruence(m: Monomial, n: Monomial, grading: ElementaryGrading) -> Opt
             steps.append(step)
         if word[base] != n.vars[base]:
             raise RuntimeError("rearrangement did not surface the target variable")
-        # the suffix blocks A B C became C B A, each letter keeping its key;
-        # per key the moved letters take back, in their new order, the
+        # the suffix blocks A B C became C B A, each letter keeping its code;
+        # per code the moved letters take back, in their new order, the
         # target positions they held, which ascend with the old order
         a, b, c = base + k1 - 1, base + k2 - 1, base + k3
         old = keys[base:c]

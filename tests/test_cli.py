@@ -166,6 +166,13 @@ class TestCongruence:
         assert code == 1
         assert "not congruent" in out
 
+    def test_empty_words_are_congruent_in_no_steps(self, capsys):
+        argv = ["congruence", "--grading", "zn:2", "--poly", "1", "--poly", "1"]
+        assert run(capsys, *argv) == (0, "congruent in 0 steps\n", "")
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["proof"] == {"start": "1", "end": "1", "steps": []}
+
     def test_needs_exactly_two(self, capsys):
         code, _, err = run(
             capsys, "congruence", "--grading", "zn:3", "--poly", "x[1,1]"
@@ -448,6 +455,33 @@ class TestInternalErrors:
             capsys, "check-identity", "--grading", f"group:{path}:e,a", "--poly", "x[1,1]"
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "table,message",
+        [
+            ("", "Cayley table file {path!r} is empty"),
+            ("e e\ne e\ne e\n", "duplicate element names in Cayley table header"),
+            ("e a\ne a\na\n", "Cayley table row 2 has 1 entries, expected 2"),
+            ("e a\ne a\na q\n", "unknown element 'q' in Cayley table row 2"),
+            # x * y = x is associative and has no identity
+            ("a b\na a\nb b\n", "Cayley table has no identity element"),
+        ],
+        ids=["empty", "duplicate-name", "short-row", "unknown-element", "no-identity"],
+    )
+    def test_malformed_cayley_files_are_refused(self, capsys, tmp_path, table, message):
+        path = tmp_path / "table.txt"
+        path.write_text(table)
+        argv = ["check-identity", "--grading", f"group:{path}:e", "--poly", "x[0,1]"]
+        assert run(capsys, *argv) == (2, "", f"error: {message.format(path=str(path))}\n")
+
+    def test_malformed_grading_specs_are_refused(self, capsys, klein_file):
+        cases = [
+            (f"group:{klein_file}", "group spec needs both a file and a tuple of elements"),
+            ("zp:1", "zp grading needs a prime modulus, got 1"),
+        ]
+        for spec, message in cases:
+            argv = ["check-identity", "--grading", spec, "--poly", "x[0,1]"]
+            assert run(capsys, *argv) == (2, "", f"error: {message}\n"), spec
 
     def test_cayley_file_that_is_not_utf8_is_refused(self, capsys, tmp_path):
         path = tmp_path / "latin.txt"

@@ -375,15 +375,21 @@ def test_relabelled_source_rows_are_caught(gradings, monkeypatch):
     # letters break the alignment instead of giving a wrong proof
     grading = gradings["zn:3"]
     m, n = congruent_pair(grading, 96, random.Random("relabelled"))
-    src_grades = [v.grade for v in m.vars]
-    assert src_grades != [v.grade for v in n.vars]
-    real = rewrite._walk_from
+    assert [v.grade for v in m.vars] != [v.grade for v in n.vars]
+    real = rewrite._entry_keys
 
-    def relabelled(targets, hs, start):
-        path = real(targets, hs, start)
-        return [row % grading.n + 1 for row in path] if hs == src_grades else path
+    def shifted(x):
+        # a letter read at row r (x mod n + 1) is read at row r mod n + 1
+        r = x % (grading.n + 1)
+        return x - r + r % grading.n + 1
 
-    monkeypatch.setattr(rewrite, "_walk_from", relabelled)
+    def relabelled(grading, word, starts):
+        keys = real(grading, word, starts)
+        if word != m.vars:
+            return keys
+        return {k: (end, [shifted(x) for x in letters]) for k, (end, letters) in keys.items()}
+
+    monkeypatch.setattr(rewrite, "_entry_keys", relabelled)
     with pytest.raises(RuntimeError, match="inconsistent alignment despite matching entries"):
         find_congruence(m, n, grading)
 
@@ -419,6 +425,7 @@ def test_a_reversal_breaking_its_precondition_is_caught(gradings, name, monkeypa
 def test_one_shared_entry_search_per_call(gradings, monkeypatch):
     grading = gradings["zn:5"]
     m, n = congruent_pair(grading, 96, random.Random("one-search"))
+    start = rewrite.entry_match(m, n, grading)[0]
     searches, walks = [], []
 
     def counted(calls, real):
@@ -429,10 +436,10 @@ def test_one_shared_entry_search_per_call(gradings, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(rewrite, "entry_match", counted(searches, rewrite.entry_match))
-    monkeypatch.setattr(rewrite, "_walk_from", counted(walks, rewrite._walk_from))
+    monkeypatch.setattr(rewrite, "_entry_keys", counted(walks, rewrite._entry_keys))
     proof = find_congruence(m, n, grading)
     assert len(proof.steps) > 1
     assert replay(proof, grading) == n
     assert len(searches) == 1
-    # both row paths are walked once, from the row the search found
-    assert len(walks) == 2
+    # both words are walked once, from the row the search found
+    assert [(word, starts) for _, word, starts in walks] == [(m.vars, (start,)), (n.vars, (start,))]

@@ -6,10 +6,11 @@ products in row-major order.  The products now come from
 ``oracles.naive_monomial_product``, iterated multiplication over the unit
 degrees, where the earlier code read the library's ``monomial_product``,
 which walks the same entry keys as ``entry_match``.  The current one
-compares ``_entry_keys`` one start row at a time and must return the same
-position.  Two words have equal key maps exactly when their naive products
-are equal: a word's product carries one entry per surviving walk, at
-(start, end), and the key is that entry's exponents.
+compares the sorted ``_entry_keys`` letters one start row at a time and
+must return the same position.  Two words have equal key maps exactly when
+their naive products are equal: a word's product carries one entry per
+surviving walk, at (start, end), and its sorted letters are that entry's
+exponents.
 """
 
 from typing import Optional, Tuple
@@ -31,6 +32,12 @@ def reference_entry_match(p1: PolyMatrix, p2: PolyMatrix) -> Optional[Tuple[int,
         if e1[pos] == e2.get(pos):
             return pos
     return None
+
+
+def _key_map(grading, word, starts=None):
+    """Start row to (end row, entry key): ``_entry_keys`` with its letters
+    sorted."""
+    return {k: (end, sorted(letters)) for k, (end, letters) in _entry_keys(grading, word, starts).items()}
 
 
 def _word(data, grading, grades):
@@ -75,19 +82,19 @@ class TestEntryKeys:
         m1, m2 = Monomial(w1), Monomial(w2)
         p1, p2 = naive_monomial_product(grading, m1), naive_monomial_product(grading, m2)
         assert entry_match(m1, m2, grading) == reference_entry_match(p1, p2)
-        assert (_entry_keys(grading, w1) == _entry_keys(grading, w2)) == (p1 == p2)
+        assert (_key_map(grading, w1) == _key_map(grading, w2)) == (p1 == p2)
 
     def test_empty_word_stays_on_every_row(self, every_kind):
         for grading, _ in every_kind.values():
             n = grading.n
-            assert _entry_keys(grading, ()) == {k: (k, ()) for k in range(1, n + 1)}
-            assert _entry_keys(grading, (), (2, n + 1)) == {2: (2, ())}
+            assert _entry_keys(grading, ()) == {k: (k, []) for k in range(1, n + 1)}
+            assert _entry_keys(grading, (), (2, n + 1)) == {2: (2, [])}
             assert entry_match(Monomial(), Monomial(), grading) == (1, 1)
 
     def test_repeated_letter_is_its_exponent(self, every_kind):
         # a walk that visits one (variable, row) pair twice keeps exponent 2
         grading, _ = every_kind["zn:3"]
         x = Var(0, 1)
-        keys = _entry_keys(grading, (x, x), (1,))
+        keys = _key_map(grading, (x, x), (1,))
         assert {k: (end, _decode_key(grading, key)) for k, (end, key) in keys.items()} == {1: (1, (((0, 1, 1), 2),))}
         assert entry_match(Monomial([x, x]), Monomial([x]), grading) is None

@@ -30,13 +30,12 @@ from gradedpi.genericmodel import (
     monomial_product,
 )
 from gradedpi.oracles import (
-    make_generic,
+    _units,
     matrix_product,
     matrix_unit_oracle,
     naive_monomial_product,
     poly_product,
     unit_walks,
-    units_of_degree,
 )
 from gradedpi.suites import battery_fast_product
 
@@ -61,6 +60,18 @@ def mono(*pairs):
 
 def yvar(h, i, k):
     return SparsePoly.variable((h, i, k))
+
+
+def make_generic(grading, h, i):
+    """The canonical degree-h generic matrix with generic index i: the naive
+    product of the one-letter word x[h,i]."""
+    return naive_monomial_product(grading, mono((h, i)))
+
+
+def units_of_degree(grading, h):
+    """All matrix unit positions carrying the degree h, from the oracles'
+    scan of the unit degrees."""
+    return _units(grading, [h])[0]
 
 
 class TestGenericMatrices:

@@ -18,21 +18,23 @@ from gradedpi.grading import (
     MU_ZERO,
     MatrixUnitSemigroup,
     TableGroup,
-    _walk_from,
     complete_sequence_unit_witness,
     enumerate_complete_sequences,
     is_complete_sequence,
     parse_grading_spec,
 )
+from gradedpi.freealg import Var
+from gradedpi.genericmodel import _entry_keys
 from gradedpi.oracles import unit_walks
 
 
 def _paths(grading, hs):
-    """Start row to its path, for the start rows whose ``_walk_from`` over
-    the grading's row maps survives ``hs``."""
-    targets = {h: grading._target(h) for h in hs}
-    walks = {k: _walk_from(targets, hs, k) for k in range(1, grading.n + 1)}
-    return {k: tuple(path) for k, path in walks.items() if path is not None}
+    """Start row to its path, for the start rows whose walk over the
+    grading's row maps survives ``hs``: the rows the ``_entry_keys`` letters
+    of a word of those grades are read at (a letter's row is the letter mod
+    n + 1), then the end row."""
+    walks = _entry_keys(grading, [Var(h, 1) for h in hs])
+    return {k: tuple(x % (grading.n + 1) for x in letters) + (end,) for k, (end, letters) in walks.items()}
 
 
 def brute_support(grading):

@@ -13,8 +13,8 @@ classification with a separate support-closure pass for the positional kind.
 ``_support_closed`` is the support-closure test that followed them, kept
 verbatim: it multiplies out the running product of every subword.  The
 current code must agree with them on every grading kind.  The library's
-walks over row maps, ``row_walk`` and ``_walk_from``, are compared with
-``oracles.unit_walks``, which reads the unit degrees instead.
+walks over row maps, ``row_walk`` and ``genericmodel._entry_keys``, are
+compared with ``oracles.unit_walks``, which reads the unit degrees instead.
 """
 
 import itertools
@@ -40,9 +40,9 @@ from gradedpi.grading import (
     MatrixUnitSemigroup,
     TableGroup,
     _check_matrix_size,
-    _walk_from,
     parse_grading_spec,
 )
+from gradedpi.genericmodel import _entry_keys
 from gradedpi.oracles import unit_walks
 from gradedpi.rewrite import (
     KILL_EMPTY_SUPPORT,
@@ -645,10 +645,11 @@ def test_grading_data_matches_reference(name):
         assert got == _outcome(lambda: list(old._target(h).items())), h
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=50, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_products_match_reference(data):
-    old, new, pool = PAIRS[data.draw(st.sampled_from(NAMES))]
+def test_products_match_reference(name, data):
+    old, new, pool = PAIRS[name]
     grades = data.draw(st.lists(st.sampled_from(pool), max_size=6))
     assert _outcome(new.structure.product, grades) == _outcome(old.structure.product, grades)
 
@@ -682,9 +683,9 @@ def test_row_walks_match_the_reference_row_walk(data):
     hs = data.draw(st.lists(st.sampled_from(pool), max_size=6))
     want = unit_walks(new, hs)
     assert new.row_walk(hs) == tuple(want)
-    targets = {h: new._target(h) for h in hs}
-    walks = {k: _walk_from(targets, hs, k) for k in range(1, new.n + 1)}
-    assert {k: tuple(path) for k, path in walks.items() if path is not None} == want
+    # each start row's path: the rows its letters are read at, then the end row
+    walks = _entry_keys(new, [Var(h, 1) for h in hs])
+    assert {k: tuple(x % (new.n + 1) for x in letters) + (end,) for k, (end, letters) in walks.items()} == want
     for h in pool + JUNK:
         got = _outcome(lambda: bool(new._target(h)))
         assert got == _outcome(lambda: bool(old._target(h))), h
@@ -717,11 +718,12 @@ def _words(data, old, pool, max_size):
     return Monomial(letters)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=50, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_apply_rule_matches_reference(data):
+def test_apply_rule_matches_reference(name, data):
     # every rule of the grading's kind at every window of its shape
-    old, new, pool = PAIRS[data.draw(st.sampled_from(NAMES))]
+    old, new, pool = PAIRS[name]
     m = _words(data, old, pool, 8)
     rules = _MU_RULES if old.structure.kind == MATRIX_UNITS else _GROUP_RULES
     for rule in sorted(rules):
@@ -763,10 +765,11 @@ def test_rewrite_windows_match_reference(name, data):
     assert list(_rewrite_windows(m, new)) == reference_applicable_rewrites(m, old)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=50, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_classify_matches_reference(data):
-    old, new, pool = PAIRS[data.draw(st.sampled_from(NAMES))]
+def test_classify_matches_reference(name, data):
+    old, new, pool = PAIRS[name]
     m = _words(data, old, pool, 14)
     assert classify(m, new) == reference_classify(m, old)
 
@@ -908,7 +911,7 @@ def test_residue_table_agrees_with_the_cyclic_group():
 def _row_map_cases():
     """Tuples with a closed-form row map (the canonical residue tuple, and
     ascending consecutive integers), and tuples of the same kinds that must
-    fall back to ``GradingStructure.row_map``."""
+    fall back to the generic ``GradingStructure.row_maps``."""
     closed = [f"{kind}:{n}" for kind in ("zn", "z") for n in range(1, 10)] + ["zn:128", "zp:7", "z:64"]
     closed = [(spec, parse_grading_spec(spec).structure, parse_grading_spec(spec).row_grades) for spec in closed]
     closed.append(("z shifted", IntegerGroup(), (-3, -2, -1, 0)))
@@ -929,20 +932,20 @@ def _grades_in_and_out(structure, n):
 
 def test_closed_form_row_maps_match_the_generic_one(monkeypatch):
     closed, generic = _row_map_cases()
-    generic_row_map = GradingStructure.row_map
+    generic_row_maps = GradingStructure.row_maps
     for name, structure, rows in generic:
         grading = ElementaryGrading(structure, rows)
+        want = generic_row_maps(structure, rows)
         for h in _grades_in_and_out(structure, len(rows)):
-            want = generic_row_map(structure, rows, h)
-            assert list(grading._target(h).items()) == list(want.items()), (name, h)
+            assert list(grading._target(h).items()) == list(want(h).items()), (name, h)
 
     def refuse(*args):
         raise AssertionError("the generic row map was used")
 
-    monkeypatch.setattr(GradingStructure, "row_map", refuse)
+    monkeypatch.setattr(GradingStructure, "row_maps", refuse)
     for name, structure, rows in closed:
         grading = ElementaryGrading(structure, rows)
+        want = generic_row_maps(structure, rows)
         for h in _grades_in_and_out(structure, len(rows)):
             # equal in values and in key order: start rows iterate the map
-            want = generic_row_map(structure, rows, h)
-            assert list(grading._target(h).items()) == list(want.items()), (name, h)
+            assert list(grading._target(h).items()) == list(want(h).items()), (name, h)
