@@ -305,8 +305,17 @@ def proof_to_json(proof: CongruenceProof, grading: ElementaryGrading) -> dict:
 
 
 def proof_from_json(data: dict, grading: ElementaryGrading) -> CongruenceProof:
+    """The proof that ``proof_to_json`` wrote; a document of another shape
+    raises RuleError."""
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("start"), str)
+        and isinstance(data.get("end"), str)
+        and isinstance(data.get("steps"), list)
+    ):
+        raise RuleError(f"a proof is an object with start and end texts and a list of steps, not {data!r}")
     steps = []
-    for item in data.get("steps", ()):
+    for item in data["steps"]:
         if not (isinstance(item, dict) and isinstance(item.get("rule"), str) and isinstance(item.get("window"), list)):
             raise RuleError(f"a proof step is an object with a rule name and a window list, not {item!r}")
         steps.append(Step(item["rule"], tuple(item["window"])))

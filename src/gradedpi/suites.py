@@ -31,7 +31,7 @@ from .freealg import (
 )
 from .genericmodel import PolyMatrix, entry_match, evaluate, is_identity, monomial_product
 from .oracles import matrix_unit_oracle, naive_monomial_product, unit_chain_exists, unit_walks
-from .rewrite import _rewrite_windows, apply_rule, find_congruence, replay
+from .rewrite import RuleError, _rewrite_windows, apply_rule, find_congruence, replay
 from .bases import (
     GeneratorInstance,
     basis_report,
@@ -55,6 +55,20 @@ def all_passed(items: Iterable[ItemResult]) -> bool:
 
 def _item(items: List[ItemResult], name: str, passed: bool, detail: str = ""):
     items.append(ItemResult(name, bool(passed), detail))
+
+
+def _holds(cases: Iterable, check: Callable[..., bool]) -> Tuple[bool, int]:
+    """Whether ``check`` accepts every case, and how many cases it checked.
+
+    The cases are drawn lazily, in order, and the first that ``check``
+    refuses ends the run; it is counted, and no later case is drawn.
+    """
+    checked = 0
+    for case in cases:
+        checked += 1
+        if not check(case):
+            return False, checked
+    return True, checked
 
 
 # -- random generation helpers ---------------------------------------------------
@@ -95,6 +109,19 @@ def _random_consequence(
         z2 = _random_monomial_of_grade(grading, _random_grade(grading, rng), rng, index_base=50)
         out = Polynomial.from_monomial(z1) * out * Polynomial.from_monomial(z2)
     return out
+
+
+def _random_multilinear(pool: Sequence, rng: random.Random) -> Polynomial:
+    """Random multilinear polynomial of degree 1 to 4 over the grades in pool."""
+    d = rng.randint(1, 4)
+    vars = [Var(rng.choice(pool), c + 1) for c in range(d)]
+    terms: Dict[Monomial, int] = {}
+    for perm in itertools.permutations(vars):
+        coeff = rng.randint(-3, 3)
+        if coeff and rng.random() < 0.7:
+            mono = Monomial(perm)
+            terms[mono] = terms.get(mono, 0) + coeff
+    return Polynomial(terms)
 
 
 def _restricted_growth_strings(m: int):
@@ -181,18 +208,13 @@ def _consequence_items(specs: Iterable[str], seed: int) -> List[ItemResult]:
             insts = by_family[family]
             rng = random.Random((seed, spec, family).__repr__())
             base_ok = all(verify_instance(inst, grading) for inst in insts)
-            closure_ok = True
-            for _ in range(200):
-                poly = rng.choice(insts).poly
-                image = _random_consequence(poly, grading, rng)
-                if not is_identity(image, grading):
-                    closure_ok = False
-                    break
+            images = (_random_consequence(rng.choice(insts).poly, grading, rng) for _ in range(200))
+            closure_ok, checked = _holds(images, lambda image: is_identity(image, grading))
             _item(
                 items,
                 f"{spec}/{family}/consequences",
                 base_ok and closure_ok,
-                "200 random images",
+                f"{checked} random images",
             )
     return items
 
@@ -224,21 +246,14 @@ def battery_integer_monomial_classification(seed: int = 0) -> List[ItemResult]:
     for spec in ("z:2", "z:3"):
         grading = parse_grading_spec(spec)
         supp = sorted(grading.support())
-        checked = 0
-        ok = True
-        for d in range(1, 5):
-            for hs in itertools.product(supp, repeat=d):
-                mono = canonical_monomial(hs)
-                poly = Polynomial.from_monomial(mono)
-                ident = is_identity(poly, grading)
-                closed = classify(mono, grading).support_closed
-                oracle = matrix_unit_oracle(poly, grading)
-                checked += 1
-                if ident != (not closed) or ident != oracle:
-                    ok = False
-                    break
-            if not ok:
-                break
+        monos = (canonical_monomial(hs) for d in range(1, 5) for hs in itertools.product(supp, repeat=d))
+
+        def agree(mono):
+            poly = Polynomial.from_monomial(mono)
+            ident = is_identity(poly, grading)
+            return ident == (not classify(mono, grading).support_closed) == matrix_unit_oracle(poly, grading)
+
+        ok, checked = _holds(monos, agree)
         _item(items, f"{spec}/degree<=4", ok, f"{checked} degree tuples")
     return items
 
@@ -253,24 +268,11 @@ def battery_oracle_equivalence(seed: int = 0) -> List[ItemResult]:
     for spec, count in zip(specs, per_spec):
         grading = parse_grading_spec(spec)
         pool = sorted(grading.support())
-        agreements = 0
-        ok = True
-        for _ in range(count):
-            d = rng.randint(1, 4)
-            vars = [Var(rng.choice(pool), c + 1) for c in range(d)]
-            perms = list(itertools.permutations(vars))
-            terms: Dict[Monomial, int] = {}
-            for perm in perms:
-                coeff = rng.randint(-3, 3)
-                if coeff and rng.random() < 0.7:
-                    mono = Monomial(perm)
-                    terms[mono] = terms.get(mono, 0) + coeff
-            poly = Polynomial(terms)
-            if is_identity(poly, grading) != matrix_unit_oracle(poly, grading):
-                ok = False
-                break
-            agreements += 1
-        _item(items, f"{spec}/oracle-agreement", ok, f"{agreements} polynomials")
+        polys = (_random_multilinear(pool, rng) for _ in range(count))
+        ok, checked = _holds(
+            polys, lambda poly: is_identity(poly, grading) == matrix_unit_oracle(poly, grading)
+        )
+        _item(items, f"{spec}/oracle-agreement", ok, f"{checked} polynomials")
     return items
 
 
@@ -279,14 +281,18 @@ def battery_fast_product(seed: int = 0) -> List[ItemResult]:
     items: List[ItemResult] = []
     gradings = [parse_grading_spec(s) for s in GENERATOR_GRADINGS]
     rng = random.Random(seed)
-    ok = True
-    for _ in range(300):
+
+    def word():
         grading = rng.choice(gradings)
-        mono = Monomial(Var(_random_grade(grading, rng), rng.randint(1, 3)) for _ in range(rng.randint(0, 8)))
-        if monomial_product(grading, mono) != naive_monomial_product(grading, mono):
-            ok = False
-            break
-    _item(items, "closed-form-vs-naive", ok, "300 monomials, all gradings")
+        return grading, Monomial(
+            Var(_random_grade(grading, rng), rng.randint(1, 3)) for _ in range(rng.randint(0, 8))
+        )
+
+    ok, checked = _holds(
+        (word() for _ in range(300)),
+        lambda case: monomial_product(*case) == naive_monomial_product(*case),
+    )
+    _item(items, "closed-form-vs-naive", ok, f"{checked} monomials, all gradings")
     return items
 
 
@@ -348,6 +354,14 @@ def battery_complete_sequences(seed: int = 0) -> List[ItemResult]:
     return items
 
 
+def _unless_refused(call: Callable, *args):
+    """``call(*args)``, or None when the rule checker refuses it."""
+    try:
+        return call(*args)
+    except RuleError:
+        return None
+
+
 def battery_congruence(seed: int = 0) -> List[ItemResult]:
     """Congruence proofs: found when entries match, sound step by step."""
     items: List[ItemResult] = []
@@ -378,20 +392,22 @@ def battery_congruence(seed: int = 0) -> List[ItemResult]:
         n_mono = Monomial(perm)
         if n_mono != m and entry_match(m, n_mono, grading) is not None:
             pairs.append((m, n_mono))
-    proofs_ok = True
-    sound_ok = True
+    # a proof or step the rule checker refuses fails its item, not the run
+    proofs_ok = sound_ok = True
     for m, n_mono in pairs:
         proof = find_congruence(m, n_mono, grading)
-        if proof is None or replay(proof, grading) != n_mono:
-            proofs_ok = False
+        proofs_ok = proof is not None and _unless_refused(replay, proof, grading) == n_mono
+        if not proofs_ok:
             break
+        # the word after each step, None once a step is a kill or refused
         reference = monomial_product(grading, m)
-        cur = m
-        for step in proof.steps:
-            cur = apply_rule(cur, step.rule, step.window, grading)
-            if monomial_product(grading, cur) != reference:
-                sound_ok = False
-                break
+        words = itertools.accumulate(
+            proof.steps, lambda cur, step: _unless_refused(apply_rule, cur, *step, grading), initial=m
+        )
+        sound_ok, _ = _holds(
+            itertools.islice(words, 1, None),
+            lambda cur: cur is not None and monomial_product(grading, cur) == reference,
+        )
         if not sound_ok:
             break
     _item(items, "zn:3/proofs-found-and-replayed", proofs_ok, f"{len(pairs)} pairs")
@@ -433,30 +449,22 @@ def battery_twin_blocks(seed: int = 0) -> List[ItemResult]:
     thresholds = [twin_block_threshold(s) for s in (1, 2, 3)]
     _item(items, "threshold-values", thresholds == [2, 21, 228], str(thresholds))
     rng = random.Random(seed)
-    grading2 = parse_grading_spec("zn:2")
-    ok2 = True
-    for _ in range(100):
-        d = rng.randint(21, 25)
-        mono = Monomial(Var(1, c + 1) for c in range(d))
-        cls = classify(mono, grading2)
-        if not (cls.support_closed and cls.has_twin_neutral_blocks):
-            ok2 = False
-            break
-    _item(items, "zn:2/support-2-long-words", ok2, "100 words, degree >= 21")
-    grading3 = parse_grading_spec("z:2")
-    ok3 = True
-    for _ in range(100):
-        d = rng.randint(228, 230)
-        sign = rng.choice((1, -1))
-        vars = []
-        for c in range(d):
-            vars.append(Var(sign if c % 2 == 0 else -sign, c + 1))
-        mono = Monomial(vars)
-        cls = classify(mono, grading3)
-        if not (cls.support_closed and cls.has_twin_neutral_blocks):
-            ok3 = False
-            break
-    _item(items, "z:2/support-3-long-words", ok3, "100 words, degree >= 228")
+
+    def closed_with_twins(grading):
+        def check(mono):
+            cls = classify(mono, grading)
+            return cls.support_closed and cls.has_twin_neutral_blocks
+        return check
+
+    def alternating(d, sign):
+        return Monomial(Var(sign if c % 2 == 0 else -sign, c + 1) for c in range(d))
+
+    words2 = (Monomial(Var(1, c + 1) for c in range(rng.randint(21, 25))) for _ in range(100))
+    ok2, checked2 = _holds(words2, closed_with_twins(parse_grading_spec("zn:2")))
+    _item(items, "zn:2/support-2-long-words", ok2, f"{checked2} words, degree >= 21")
+    words3 = (alternating(rng.randint(228, 230), rng.choice((1, -1))) for _ in range(100))
+    ok3, checked3 = _holds(words3, closed_with_twins(parse_grading_spec("z:2")))
+    _item(items, "z:2/support-3-long-words", ok3, f"{checked3} words, degree >= 228")
     return items
 
 
@@ -467,19 +475,14 @@ def battery_distinct_diagonal(seed: int = 0) -> List[ItemResult]:
     for spec in ("zn:2", "zn:3"):
         grading = parse_grading_spec(spec)
         n = grading.n
-        ok = True
-        checked = 0
-        for value in _neutral_word_values(grading):
-            if value.is_scalar:
-                continue
-            checked += 1
+
+        def distinct(value):
             diag = [value.entry(k, k) for k in range(1, n + 1)]
-            if any(p.is_zero for p in diag):
-                ok = False
-                break
-            if len({tuple(sorted(p.terms.items())) for p in diag}) != n:
-                ok = False
-                break
+            keys = {tuple(sorted(p.terms.items())) for p in diag}
+            return not any(p.is_zero for p in diag) and len(keys) == n
+
+        values = (value for value in _neutral_word_values(grading) if not value.is_scalar)
+        ok, checked = _holds(values, distinct)
         _item(items, f"{spec}/distinct-diagonal", ok, f"{checked} non-central words")
     return items
 
@@ -490,17 +493,10 @@ def battery_distinct_entries(seed: int = 0) -> List[ItemResult]:
     items: List[ItemResult] = []
     for spec in ("z:2", "z:3"):
         grading = parse_grading_spec(spec)
-        ok = True
-        checked = 0
-        for value in _neutral_word_values(grading):
-            entries = value.cells.values()
-            if not entries:
-                continue
-            checked += 1
-            keys = {tuple(sorted(p.terms.items())) for p in entries}
-            if len(keys) != len(entries):
-                ok = False
-                break
+        cells = (value.cells.values() for value in _neutral_word_values(grading) if value.cells)
+        ok, checked = _holds(
+            cells, lambda entries: len({tuple(sorted(p.terms.items())) for p in entries}) == len(entries)
+        )
         _item(items, f"{spec}/distinct-entries", ok, f"{checked} nonzero words")
     return items
 
@@ -516,23 +512,14 @@ def battery_positional_basis(seed: int = 0) -> List[ItemResult]:
         _item(items, f"{spec}/families", verified == instances, f"{verified}/{instances} instances")
     grading = parse_grading_spec("mu:2")
     found = list(enumerate_monomial_identities(grading, 3))
-    expected_ok = all(
-        m.degree(grading) == MU_ZERO
-        and matrix_unit_oracle(Polynomial.from_monomial(m), grading)
-        for m in found
-    )
     supp = sorted(grading.support())
-    complete_ok = True
-    for d in range(1, 4):
-        for hs in itertools.product(supp, repeat=d):
-            mono = canonical_monomial(hs)
-            ident = mono.degree(grading) == MU_ZERO
-            if ident != (mono in found):
-                complete_ok = False
+    words = (canonical_monomial(hs) for d in range(1, 4) for hs in itertools.product(supp, repeat=d))
+    zero_degree = [mono for mono in words if mono.degree(grading) == MU_ZERO]
     _item(
         items,
         "mu:2/monomial-identities",
-        expected_ok and complete_ok,
+        found == zero_degree
+        and all(matrix_unit_oracle(Polynomial.from_monomial(m), grading) for m in found),
         f"{len(found)} identities, degree <= 3",
     )
     return items

@@ -244,6 +244,8 @@ class TestCyclicSymmetrization:
             cyclic_symmetrization([Var(0, 1), Var(0, 2)], ZN2)
         with pytest.raises(BasesError):
             cyclic_symmetrization([Var(1, 1)], ZN2)
+        with pytest.raises(BasesError, match="^residues are only defined for cyclic and integer gradings$"):
+            cyclic_symmetrization([Var((1, 2), 1), Var((2, 1), 2)], MU2)
 
     def test_integer_grading_uses_residues(self):
         f = cyclic_symmetrization([Var(1, 1), Var(-1, 2)], Z2)

@@ -95,6 +95,8 @@ class TestSubstitution:
         f = parse_polynomial("x[0,1]", ZN2)
         with pytest.raises(GradingError):
             apply_substitution(f, {Var(0, 1): parse_polynomial("x[1,1]", ZN2)}, ZN2)
+        with pytest.raises(GradingError, match="^polynomial is not homogeneous$"):
+            apply_substitution(f, {Var(0, 1): parse_polynomial("x[0,2] + x[1,2]", ZN2)}, ZN2)
 
 
 class TestStripNeutralEquivalence:

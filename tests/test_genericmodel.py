@@ -223,6 +223,8 @@ class TestMatrixUnitOracle:
             matrix_unit_oracle(parse_polynomial("x[1,1]^2", ZN2), ZN2)
         with pytest.raises(GradingError):
             matrix_unit_oracle(parse_polynomial("x[0,1] + x[0,1]*x[0,2]", ZN2), ZN2)
+        with pytest.raises(GradingError, match="^not multilinear: constant polynomial$"):
+            matrix_unit_oracle(parse_polynomial("3", ZN2), ZN2)
 
     def test_agrees_with_generic_evaluation(self):
         rng = random.Random(31)

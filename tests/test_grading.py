@@ -161,12 +161,24 @@ class TestStructures:
             TableGroup(["e", "a", "b"], [[0, 1, 2], [1, 0, 0], [2, 0, 1]])
         with pytest.raises(GradingError):
             TableGroup(["e"], [[0, 0]])  # not square
+        with pytest.raises(GradingError, match="^a finite group needs a non-empty carrier$"):
+            TableGroup([], [])
+        with pytest.raises(GradingError, match="^Cayley table entry out of range: 1$"):
+            TableGroup(["e"], [[1]])
+
+    def test_sizes_must_be_positive(self):
+        with pytest.raises(GradingError, match="^cyclic group order must be positive$"):
+            CyclicGroup(0)
+        with pytest.raises(GradingError, match="^matrix-unit semigroup needs a positive size$"):
+            MatrixUnitSemigroup(0)
 
 
 class TestElementaryGrading:
     def test_distinctness_enforced(self):
         with pytest.raises(GradingError):
             ElementaryGrading(CyclicGroup(3), (1, 1, 0))
+        with pytest.raises(GradingError, match="^an elementary grading needs at least one row grade$"):
+            ElementaryGrading(CyclicGroup(3), ())
 
     def test_positional_tuple_fixed(self):
         with pytest.raises(GradingError):

@@ -52,6 +52,8 @@ class TestApplyRule:
     def test_kill_outside_support(self):
         m = mono((2, 1))
         assert apply_rule(m, KILL_EMPTY_SUPPORT, (1,), Z2) is None
+        with pytest.raises(RuleError, match=r"^bad kill window \(2,\) for length 1$"):
+            apply_rule(m, KILL_EMPTY_SUPPORT, (2,), Z2)
 
     def test_predicate_violations(self):
         with pytest.raises(RuleError):
@@ -288,6 +290,9 @@ class TestReplay:
         bad_step = CongruenceProof(m, m, (Step(SWAP_NEUTRAL, (1, 1, 2)),))
         with pytest.raises(RuleError):
             replay(bad_step, ZN2)
+        x = mono((2, 1))
+        with pytest.raises(RuleError, match="^kill step inside a congruence proof$"):
+            replay(CongruenceProof(x, x, (Step(KILL_EMPTY_SUPPORT, (1,)),)), Z2)
 
     def test_json_round_trip(self):
         m = mono((1, 1), (2, 2), (1, 3))
@@ -320,6 +325,20 @@ class TestReplay:
         assert replay(proof_from_json(good, ZN3), ZN3) == mono((1, 3), (2, 2), (1, 1))
         with pytest.raises(RuleError):
             replay(proof_from_json(data, ZN3), ZN3)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            ["x[1,1]", "x[1,1]", []],
+            {"start": "x[1,1]", "steps": []},
+            {"start": 5, "end": "x[1,1]", "steps": []},
+            {"start": "x[1,1]", "end": "x[1,1]", "steps": {}},
+        ],
+        ids=repr,
+    )
+    def test_malformed_proofs_are_rule_errors(self, data):
+        with pytest.raises(RuleError, match="^a proof is an object with start and end texts and a list of steps"):
+            proof_from_json(data, ZN3)
 
 
 class TestFollowsFromKill:
